@@ -263,21 +263,13 @@ def cmd_schmidt(args) -> int:
 def _joint_query(psi: PureState, comp: CompositeSystem, exprs) -> dict:
     sets = [_resolve_set(e, comp) for e in exprs]
     verdict = comparability(sets, comp)
+    out = {"query": [s.label for s in sets], **verdict.to_json_dict()}
     if verdict.comparable:
         replacement = {orig.label: repl for orig, repl in verdict.substitutions}
         resolved = [replacement.get(s.label, s) for s in sets]
-        dist = joint_probability(resolved, psi)
-        return {
-            "query": [s.label for s in sets],
-            "comparable": True,
-            "route": verdict.route,
-            "substitutions": [
-                {"original": o.label, "replacement": r.label}
-                for o, r in verdict.substitutions
-            ],
-            "systems": [s.label for s in resolved],
-            "distribution": dist.to_json_dict(),
-        }
+        out["systems"] = [s.label for s in resolved]
+        out["distribution"] = joint_probability(resolved, psi).to_json_dict()
+        return out
     quasi = formal_joint(sets, psi)
     print(
         "NOT COMPARABLE: "
@@ -285,14 +277,9 @@ def _joint_query(psi: PureState, comp: CompositeSystem, exprs) -> dict:
         + f" (max_imag={quasi.max_imag!r}, min_real={quasi.min_real!r})",
         file=sys.stderr,
     )
-    return {
-        "query": [s.label for s in sets],
-        "comparable": False,
-        "route": verdict.route,
-        "substitutions": [],
-        "systems": [s.label for s in sets],
-        "quasi": quasi.to_json_dict(),
-    }
+    out["systems"] = [s.label for s in sets]
+    out["quasi"] = quasi.to_json_dict()
+    return out
 
 
 def cmd_joint(args) -> int:

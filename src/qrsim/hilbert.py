@@ -218,9 +218,6 @@ class PureState:
     def overlap(self, other: "PureState") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def to_json_list(self) -> list:
-        return [[float(c.real), float(c.imag)] for c in self.amplitudes]
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:

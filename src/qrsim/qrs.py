@@ -14,11 +14,18 @@ ignorance interpretation.  ``comparability`` decides whether a tuple of
 systems can be made pairwise disjoint by replacing members with their
 complements, the substitution licensed by the unique descending-coefficient
 pairing across a bipartition's Schmidt decomposition.
+
+Every table, proper or formal (a Kirkwood-Dirac quasiprobability), is one
+einsum network over ket, ensemble vectors and bra, contracted on a greedy
+path whose size cap comes from the inputs (``_projector_product_table``).
+Queries needing more than einsum's 52 labels are refused up front.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +52,9 @@ _CLIP_FLOOR = -1e-9
 _TABLE_ATOL = 1e-9
 
 MAX_COMPARABILITY_SYSTEMS = 16
+
+# numpy's einsum accepts these 52 labels and no others
+_EINSUM_LABELS = string.ascii_letters
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +118,6 @@ class JointDistribution:
             "values": [float(v) for v in self.table.reshape(-1)],
         }
 
-    def to_csv_rows(self) -> list:
-        header = [f"j{i + 1}" for i in range(self.table.ndim)] + ["probability"]
-        rows = [header]
-        for idx in np.ndindex(*self.table.shape):
-            rows.append([*(int(i) for i in idx), float(self.table[idx])])
-        return rows
-
 
 @dataclass(frozen=True, eq=False)
 class QuasiDistribution:
@@ -161,14 +164,6 @@ class QuasiDistribution:
             "max_imag": self.max_imag,
             "min_real": self.min_real,
         }
-
-    def to_csv_rows(self) -> list:
-        header = [f"j{i + 1}" for i in range(self.table.ndim)] + ["real", "imag"]
-        rows = [header]
-        for idx in np.ndindex(*self.table.shape):
-            v = self.table[idx]
-            rows.append([*(int(i) for i in idx), float(v.real), float(v.imag)])
-        return rows
 
 
 @dataclass(frozen=True)
@@ -229,37 +224,53 @@ def state_of(target, reference, psi_ref: PureState) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 # projector-product kernel
 
-def _project_onto(tensor: np.ndarray, phi: np.ndarray, axes: tuple) -> np.ndarray:
-    """Apply |phi><phi| on the given tensor axes: contract with phi*, outer with phi."""
-    m = phi.ndim
-    contracted = np.tensordot(tensor, phi.conj(), axes=(axes, tuple(range(m))))
-    out = np.multiply.outer(contracted, phi)
-    n = out.ndim
-    return np.moveaxis(out, tuple(range(n - m, n)), axes)
-
-
 def _projector_product_table(psi: PureState, systems, ensembles) -> np.ndarray:
-    """Entries <psi| P_1 ... P_n |psi> over all ensemble index combinations."""
-    psi_t = psi.tensor_view()
-    shape = tuple(e.eigenvalues.size for e in ensembles)
-    axes_list = [s.axes for s in systems]
-    phis = []
-    for s, ens in zip(systems, ensembles):
-        sub_dims = s.dims
-        phis.append([ens.vectors[:, k].reshape(sub_dims) for k in range(ens.eigenvalues.size)])
-    table = np.empty(shape, dtype=complex)
-    for idx in np.ndindex(*shape):
-        cur = psi_t
-        for i in range(len(systems) - 1, -1, -1):
-            cur = _project_onto(cur, phis[i][idx[i]], axes_list[i])
-        table[idx] = np.vdot(psi_t, cur)
-    return table
+    """Entries <psi| P_1 ... P_n |psi> over all ensemble index combinations.
+
+    The whole table is one einsum network.  Reading from the ket, each
+    projector from P_n back to P_1 contributes the conjugated ensemble
+    vectors, closing its system's current axis labels, and the ensemble
+    vectors, opening fresh ones; the bra closes what is left.  Each
+    ensemble index is an output axis, so no entry is computed on its own.
+
+    The path is greedy, with intermediates capped at (state size) x (largest
+    ensemble), or at the table size when the table is larger.  A tighter cap
+    makes greedy stop early and hand the remaining operands to one
+    many-operand loop: with numpy's default cap, the largest operand, that
+    loop is slower on overlapping chains than contracting entry by entry.
+    """
+    labels = iter(_EINSUM_LABELS)
+    current = [next(labels) for _ in psi.system.dims]
+    outputs = [next(labels) for _ in systems]
+    ket = psi.tensor_view()
+    terms, operands = ["".join(current)], [ket]
+    for s, ens, k in reversed(list(zip(systems, ensembles, outputs))):
+        vecs = ens.vectors.reshape(s.dims + (ens.eigenvalues.size,))
+        terms.append("".join(current[a] for a in s.axes) + k)
+        operands.append(vecs.conj())
+        for a in s.axes:
+            current[a] = next(labels)
+        terms.append("".join(current[a] for a in s.axes) + k)
+        operands.append(vecs)
+    terms.append("".join(current))
+    operands.append(ket.conj())
+    expr = ",".join(terms) + "->" + "".join(outputs)
+    sizes = [e.eigenvalues.size for e in ensembles]
+    limit = max(ket.size * max(sizes), math.prod(sizes))
+    return np.einsum(expr, *operands, optimize=("greedy", limit))
 
 
 def _coerce_systems(systems, psi: PureState) -> tuple:
     coerced = tuple(as_subsystem_set(s, psi.system) for s in systems)
     if not coerced:
         raise ValidationError("at least one system is required")
+    # one label per state axis, plus per system its fresh axes and its index
+    needed = len(psi.system.dims) + sum(len(s.axes) + 1 for s in coerced)
+    if needed > len(_EINSUM_LABELS):
+        raise ValidationError(
+            f"this query needs {needed} contraction labels; the table kernel "
+            f"supports at most {len(_EINSUM_LABELS)} (fewer or smaller systems)"
+        )
     return coerced
 
 

@@ -41,17 +41,23 @@ def _validate_tolerance(tolerance: float) -> float:
     return tolerance
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude component is real positive."""
+def _fix_phases(vectors: np.ndarray) -> tuple:
+    """Rotate each column so its largest-magnitude component is real positive.
+
+    Returns the rotated copy and the unit phase divided out of each column
+    (1 for a zero column), so a caller can move that phase elsewhere.
+    """
     out = vectors.copy()
+    phases = np.ones(out.shape[1], dtype=complex)
     for k in range(out.shape[1]):
         col = out[:, k]
         i = int(np.argmax(np.abs(col)))
         pivot = col[i]
         mag = abs(pivot)
         if mag > 0.0:
-            out[:, k] = col * (pivot.conjugate() / mag)
-    return out
+            phases[k] = pivot / mag
+            out[:, k] = col * phases[k].conjugate()
+    return out, phases
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +170,7 @@ def possible_internal_states(
             _, rot = np.linalg.eigh(projected)
             v[:, lo:hi] = block @ rot
 
-    v = _fix_phases(v)
+    v, _ = _fix_phases(v)
     try:
         return InternalStateEnsemble(
             subsystem=rho.system,
@@ -275,15 +281,8 @@ def schmidt_decompose(
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
 
     # canonical phases: left pivots real positive, compensation on the right
-    for k in range(s.size):
-        col = u[:, k]
-        i = int(np.argmax(np.abs(col)))
-        pivot = col[i]
-        mag = abs(pivot)
-        if mag > 0.0:
-            phase = pivot / mag
-            u[:, k] = col * phase.conjugate()
-            vh[k, :] = vh[k, :] * phase
+    u, phases = _fix_phases(u)
+    vh = vh * phases[:, None]
 
     rank = int(np.sum(s > tolerance))
     try:

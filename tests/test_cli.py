@@ -190,6 +190,13 @@ class TestJointCommand:
         assert data["quasi"]["shape"] == [6, 3, 3]
         assert data["quasi"]["min_real"] < -1e-3
 
+    def test_query_beyond_the_label_budget_exits_2(self, capsys, measured_file):
+        # 4 state axes + 13 x (3 axes + 1 index) = 56 einsum labels > 52;
+        # the table would have 12**13 entries
+        rc, out, err = run_cli(capsys, "joint", measured_file, *["P1+M1+P2"] * 13)
+        assert rc == 2 and out == ""
+        assert "labels" in err
+
     def test_queries_from_the_scenario_file(self, capsys, pair_file):
         rc, out, _ = run_cli(capsys, "joint", pair_file)
         assert rc == 0

@@ -2,10 +2,15 @@
 
 Oracle note: ``oracle_disjoint_table`` evaluates P(j1..jn) for disjoint
 systems as the squared norm of the amplitude tensor after contracting each
-system's state vector away.  The library kernel instead applies projectors
-in place and takes an inner product, so agreement is a real check rather
-than the same code run twice.
+system's state vector away.  The library kernel instead contracts one
+network of ket, projector vectors and bra, so agreement is a real check
+rather than the same code run twice.  ``oracle_formal_table`` multiplies
+dense full-space projectors built with ``np.kron``.
 """
+
+import functools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +67,47 @@ def oracle_disjoint_table(psi, systems, ensembles):
             cur = np.tensordot(cur, phi.conj(), axes=(shifted, tuple(range(phi.ndim))))
             removed.extend(axes)
         table[idx] = float(np.sum(np.abs(cur) ** 2))
+    return table
+
+
+def dense_projector(comp, members, phi):
+    """|phi><phi| on ``members``, identity elsewhere, as one full-space matrix.
+
+    Built term by term from Kronecker products over the factors in
+    declaration order, the order in which ensemble vectors are laid out.
+    """
+    order = [label for label in comp.labels if label in members]
+    dims = tuple(comp.dim_of(label) for label in order)
+    phi = phi.reshape(dims)
+    full = np.zeros((comp.total_dim, comp.total_dim), dtype=complex)
+    for a in np.ndindex(*dims):
+        for b in np.ndindex(*dims):
+            factors = []
+            for label, d in comp.subsystems:
+                if label in order:
+                    j = order.index(label)
+                    unit = np.zeros((d, d))
+                    unit[a[j], b[j]] = 1.0
+                    factors.append(unit)
+                else:
+                    factors.append(np.eye(d))
+            full += phi[a] * np.conj(phi[b]) * functools.reduce(np.kron, factors)
+    return full
+
+
+def oracle_formal_table(psi, quasi):
+    """<psi| P_1 ... P_n |psi> with every projector a dense full-space matrix."""
+    comp = psi.system
+    projectors = [
+        [dense_projector(comp, s.members, ens.vectors[:, k]) for k in range(ens.eigenvalues.size)]
+        for s, ens in zip(quasi.systems, quasi.ensembles)
+    ]
+    table = np.empty(quasi.table.shape, dtype=complex)
+    for idx in np.ndindex(*table.shape):
+        vec = psi.amplitudes
+        for projs, k in reversed(list(zip(projectors, idx))):
+            vec = projs[k] @ vec
+        table[idx] = np.vdot(psi.amplitudes, vec)
     return table
 
 
@@ -272,6 +318,58 @@ class TestFormalJoint:
         quasi = formal_joint([["S2"], ["S1"]], psi)
         assert tuple(s.label for s in quasi.systems) == ("S2", "S1")
 
+    def test_matches_dense_operator_oracle(self):
+        # overlapping chains on mixed qubit/qutrit registers, systems listed
+        # in shuffled (not declaration) order
+        rng = np.random.default_rng(85)
+        for _ in range(8):
+            dims = tuple(int(d) for d in rng.integers(2, 4, size=4))
+            comp = make_composite(dims)
+            psi = PureState(comp, random_amplitudes(rng, comp.total_dim))
+            labels = [str(label) for label in rng.permutation(comp.labels)]
+            size = int(rng.integers(2, 4))
+            chain = [labels[i:i + size] for i in range(4 - size + 1)]
+            quasi = formal_joint(chain, psi)
+            assert_allclose(quasi.table, oracle_formal_table(psi, quasi), atol=1e-12)
+
+    def test_repeated_system_is_diagonal_with_the_spectrum(self):
+        rng = np.random.default_rng(86)
+        comp = make_composite((3, 2, 2))
+        psi = PureState(comp, random_amplitudes(rng, 12))
+        quasi = formal_joint([["S3", "S1"], ["S1", "S3"]], psi)
+        spectrum = quasi.ensembles[0].eigenvalues
+        assert_allclose(quasi.table, np.diag(spectrum), atol=1e-12)
+        assert_allclose(quasi.table, oracle_formal_table(psi, quasi), atol=1e-12)
+
+    def test_reversed_order_conjugates_the_table(self):
+        # (P_1 ... P_n)^dagger = P_n ... P_1
+        rng = np.random.default_rng(87)
+        comp = make_composite((2, 3, 2))
+        psi = PureState(comp, random_amplitudes(rng, 12))
+        chain = [["S1", "S2"], ["S2", "S3"], ["S3", "S1"]]
+        forward = formal_joint(chain, psi)
+        backward = formal_joint(chain[::-1], psi)
+        assert forward.max_imag > 1e-3
+        assert_allclose(backward.table, forward.table.conj().transpose(2, 1, 0), atol=1e-12)
+
+    def test_query_beyond_the_label_budget_fails_before_allocating(self):
+        # 2 state axes + 26 x (1 axis + 1 index) = 54 einsum labels > 52
+        comp = CompositeSystem([("A", 2), ("B", 2)])
+        psi = PureState(comp, [1.0, 0.0, 0.0, 0.0])
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(ValidationError, match="labels"):
+                formal_joint([["A"]] * 26, psi)
+            elapsed = time.perf_counter() - t0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5
+        assert peak < 2 ** 20  # a 2**26-entry table would be 1 GiB
+        with pytest.raises(ValidationError, match="labels"):
+            joint_probability([["A"]] * 26, psi)
+
     def test_basis_override_roundtrip_and_validation(self):
         rng = np.random.default_rng(84)
         comp = make_composite((2, 2))
@@ -391,9 +489,7 @@ class TestDistributionContainers:
         assert d["systems"] == ["S1", "S2"]
         assert d["shape"] == [2, 2]
         assert len(d["values"]) == 4
-        rows = dist.to_csv_rows()
-        assert rows[0] == ["j1", "j2", "probability"]
-        assert len(rows) == 5
-        quasi = formal_joint([["S1"], ["S2"]], correlated_pair())
-        qrows = quasi.to_csv_rows()
-        assert qrows[0] == ["j1", "j2", "real", "imag"]
+        q = formal_joint([["S1"], ["S2"]], correlated_pair()).to_json_dict()
+        assert q["systems"] == ["S1", "S2"]
+        assert q["shape"] == [2, 2]
+        assert [len(v) for v in q["values"]] == [2, 2, 2, 2]
