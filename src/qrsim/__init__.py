@@ -47,10 +47,8 @@ from .qrs import (
 )
 from .measurement import (
     MeasurementDevice,
-    MeasurementRecord,
     SAMPLER_ALGORITHM,
     build_measurement_unitary,
-    sample_internal_state,
     sample_outcome_indices,
     spin_basis,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "JointDistribution",
     "LocalOperator",
     "MeasurementDevice",
-    "MeasurementRecord",
     "NumericalInvariantError",
     "OverlappingSystemsError",
     "PureState",
@@ -109,7 +106,6 @@ __all__ = [
     "possible_internal_states",
     "reconstruct",
     "run_bell",
-    "sample_internal_state",
     "sample_joint_outcomes",
     "sample_outcome_indices",
     "schmidt_decompose",

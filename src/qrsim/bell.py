@@ -13,6 +13,9 @@ vector:
   pointer, second pointer), which is generally complex or negative exactly
   where the proper correlator beats every factorizing model.
 
+CHSH values are read off one grid of runs over the settings they involve,
+and each distinct setting runs once.
+
 Outcome indexing everywhere: index 0 is the basis vector at the device
 angle (value +1), index 1 its orthogonal companion (value -1).
 """
@@ -165,10 +168,50 @@ class BellResult:
         return out
 
 
-def build_bell_state(a: complex, b: complex) -> PureState:
-    """State a|ud> - b|du> on the two-particle composite (P1, P2)."""
-    system = CompositeSystem([(PARTICLE_1, 2), (PARTICLE_2, 2)])
-    return PureState(system, np.array([0.0, a, -b, 0.0], dtype=complex))
+def build_bell_state(
+    a: complex, b: complex, system: CompositeSystem | None = None, ready=None
+) -> PureState:
+    """State a|ud> - b|du> on P1 and P2 of ``system``, in either order.
+
+    Every other subsystem starts at the index ``ready`` (a label -> index
+    map) gives it, typically a device pointer at its ready position.  The
+    default system is the bare two-particle composite (P1, P2).
+    """
+    if system is None:
+        system = CompositeSystem([(PARTICLE_1, 2), (PARTICLE_2, 2)])
+    ready = {} if ready is None else ready
+    for particle in (PARTICLE_1, PARTICLE_2):
+        if particle not in system.labels:
+            raise ValidationError(
+                f"state constructor 'bell' requires subsystem {particle!r}"
+            )
+        if system.dim_of(particle) != 2:
+            raise ValidationError(
+                f"state constructor 'bell' requires {particle!r} to have dimension 2"
+            )
+    slot = []
+    for label in system.labels:
+        if label in (PARTICLE_1, PARTICLE_2):
+            slot.append(slice(None))
+        elif label in ready:
+            index = int(ready[label])
+            if not 0 <= index < system.dim_of(label):
+                raise ValidationError(
+                    f"state constructor 'bell': ready index {index} out of range "
+                    f"for subsystem {label!r} of dimension {system.dim_of(label)}"
+                )
+            slot.append(index)
+        else:
+            raise ValidationError(
+                f"state constructor 'bell' cannot initialize subsystem "
+                f"{label!r} (neither a particle nor a device pointer)"
+            )
+    pair = np.array([[0.0, a], [-b, 0.0]], dtype=complex)
+    if system.axis(PARTICLE_2) < system.axis(PARTICLE_1):
+        pair = pair.T
+    full = np.zeros(system.dims, dtype=complex)
+    full[tuple(slot)] = pair
+    return PureState(system, full.reshape(-1))
 
 
 def _outcome_indices(ensemble: InternalStateEnsemble, pointers) -> tuple:
@@ -190,10 +233,6 @@ def _outcome_indices(ensemble: InternalStateEnsemble, pointers) -> tuple:
     if len(set(indices)) != len(indices):
         raise NumericalInvariantError("pointer positions map to one ensemble vector")
     return tuple(indices)
-
-
-def _outcome_block(table: np.ndarray, index_lists) -> np.ndarray:
-    return table[np.ix_(*index_lists)]
 
 
 def _check_outcome_mass(block: np.ndarray, what: str) -> None:
@@ -260,16 +299,8 @@ def run_bell(scenario: BellScenario) -> BellResult:
     if scenario.include_m3:
         subsystems.append((DEVICE_3, _POINTER_DIM))
     comp = CompositeSystem(subsystems)
-
-    pair = np.array(
-        [[0.0, scenario.a], [-scenario.b, 0.0]], dtype=complex
-    )
-    full = np.zeros(comp.dims, dtype=complex)
-    slot = [slice(None), _READY, slice(None), _READY]
-    if scenario.include_m3:
-        slot.append(_READY)
-    full[tuple(slot)] = pair
-    psi0 = PureState(comp, full.reshape(-1))
+    ready = dict.fromkeys((DEVICE_1, DEVICE_2, DEVICE_3), _READY)
+    psi0 = build_bell_state(scenario.a, scenario.b, comp, ready)
 
     d1 = MeasurementDevice.from_basis(
         DEVICE_1, spin_basis(scenario.theta1), _POINTER_DIM, _READY
@@ -288,7 +319,7 @@ def run_bell(scenario: BellScenario) -> BellResult:
     quantum_joint = joint_probability((m1, m2), psi_q)
     idx1 = _outcome_indices(quantum_joint.ensembles[0], d1.pointers)
     idx2 = _outcome_indices(quantum_joint.ensembles[1], d2.pointers)
-    quantum_table = _outcome_block(quantum_joint.table, (idx1, idx2))
+    quantum_table = quantum_joint.table[np.ix_(idx1, idx2)]
     _check_outcome_mass(quantum_table, "proper run")
     values = scenario.outcome_values
     e_quantum = _correlator(quantum_table, values)
@@ -299,7 +330,7 @@ def run_bell(scenario: BellScenario) -> BellResult:
     quasi = formal_joint((p1m1, m1, m2), psi_q, bases=[chi_ens, None, None])
     qidx1 = _outcome_indices(quasi.ensembles[1], d1.pointers)
     qidx2 = _outcome_indices(quasi.ensembles[2], d2.pointers)
-    quasi_table = _outcome_block(quasi.table, ((0, 1), qidx1, qidx2))
+    quasi_table = quasi.table[np.ix_((0, 1), qidx1, qidx2)]
 
     hidden_joint = None
     hidden_table = None
@@ -319,7 +350,7 @@ def run_bell(scenario: BellScenario) -> BellResult:
         )
         hidx1 = _outcome_indices(hidden_joint.ensembles[0], d1.pointers)
         hidx2 = _outcome_indices(hidden_joint.ensembles[1], d2.pointers)
-        hidden_table = _outcome_block(hidden_joint.table, (hidx1, hidx2))
+        hidden_table = hidden_joint.table[np.ix_(hidx1, hidx2)]
         _check_outcome_mass(hidden_table, "recorded run")
         e_hidden = _correlator(hidden_table, values)
 
@@ -338,6 +369,53 @@ def run_bell(scenario: BellScenario) -> BellResult:
         hidden_table=_lock(hidden_table.copy()) if hidden_table is not None else None,
         E_hidden=e_hidden,
     )
+
+
+def _setting_grid(
+    a: complex,
+    b: complex,
+    thetas1,
+    thetas2,
+    include_m3: bool,
+    outcome_values=(1.0, -1.0),
+) -> list:
+    """``run_bell`` over thetas1 x thetas2, once per distinct setting.
+
+    Returns rows of results, ``grid[i][j]`` at (thetas1[i], thetas2[j]).
+    Settings are keyed by their bit patterns, so -0.0 keeps its own run and
+    the sign it prints.  Runs go through the module-level ``run_bell`` name,
+    so a call tracer or test that rebinds it sees every run.
+    """
+    runs: dict = {}
+    grid = []
+    for t1 in thetas1:
+        row = []
+        for t2 in thetas2:
+            key = (float(t1).hex(), float(t2).hex())
+            if key not in runs:
+                runs[key] = run_bell(
+                    BellScenario(
+                        a,
+                        b,
+                        t1,
+                        t2,
+                        include_m3=include_m3,
+                        outcome_values=outcome_values,
+                    )
+                )
+            row.append(runs[key])
+        grid.append(row)
+    return grid
+
+
+def _grid_chsh(grid, model: str, i: int, j: int) -> float:
+    """S = E(0,0) - E(0,j) + E(i,0) + E(i,j) read off a setting grid."""
+
+    def e(x: int, y: int) -> float:
+        result = grid[x][y]
+        return result.E_hidden if model == "hidden" else result.E_quantum
+
+    return e(0, 0) - e(0, j) + e(i, 0) + e(i, j)
 
 
 def _validated_angles(angles) -> tuple:
@@ -366,7 +444,7 @@ def chsh(
     absolute value while the maximally entangled pair reaches 2*sqrt(2) at
     (0, pi/2, pi/4, 3pi/4).  ``model`` selects which correlator of the run
     enters: "quantum" for the proper two-pointer statistics, "hidden" for
-    the z-recorded factorizing ones.
+    the z-recorded factorizing ones.  Each distinct setting runs once.
     """
     if model not in CHSH_MODELS:
         raise ValidationError(
@@ -374,30 +452,10 @@ def chsh(
             f"{', '.join(CHSH_MODELS)}"
         )
     a1, a2, b1, b2 = _validated_angles(angles)
-    memo: dict = {}
-
-    def correlator(x: float, y: float) -> float:
-        key = (x, y)
-        if key not in memo:
-            result = run_bell(
-                BellScenario(
-                    a,
-                    b,
-                    x,
-                    y,
-                    include_m3=(model == "hidden"),
-                    outcome_values=outcome_values,
-                )
-            )
-            memo[key] = result.E_hidden if model == "hidden" else result.E_quantum
-        return memo[key]
-
-    return (
-        correlator(a1, b1)
-        - correlator(a1, b2)
-        + correlator(a2, b1)
-        + correlator(a2, b2)
+    grid = _setting_grid(
+        a, b, (a1, a2), (b1, b2), model == "hidden", outcome_values
     )
+    return _grid_chsh(grid, model, 1, 1)
 
 
 def chsh_at_point(
@@ -428,35 +486,25 @@ def sweep(
     Returns (header, rows); each row is [theta1, theta2, E_quantum,
     E_hidden, S_quantum, S_hidden, max_imag, min_real] with the S values
     formed from grid entries via the (0, theta1 | 0, theta2) settings (the
-    grid always contains angle 0).
+    grid always contains angle 0).  Each grid setting runs once.
     """
     points = int(points)
     if points < 1:
         raise ValidationError("sweep needs at least one grid point per axis")
     thetas = [2.0 * math.pi * k / points for k in range(points)]
-    results = [
-        [
-            run_bell(BellScenario(a, b, t1, t2, outcome_values=outcome_values))
-            for t2 in thetas
-        ]
-        for t1 in thetas
-    ]
-    e_q = np.array([[r.E_quantum for r in row] for row in results])
-    e_h = np.array([[r.E_hidden for r in row] for row in results])
+    grid = _setting_grid(a, b, thetas, thetas, True, outcome_values)
     rows = []
     for i, t1 in enumerate(thetas):
         for j, t2 in enumerate(thetas):
-            s_q = e_q[0, 0] - e_q[0, j] + e_q[i, 0] + e_q[i, j]
-            s_h = e_h[0, 0] - e_h[0, j] + e_h[i, 0] + e_h[i, j]
-            r = results[i][j]
+            r = grid[i][j]
             rows.append(
                 [
                     t1,
                     t2,
-                    float(e_q[i, j]),
-                    float(e_h[i, j]),
-                    float(s_q),
-                    float(s_h),
+                    r.E_quantum,
+                    r.E_hidden,
+                    _grid_chsh(grid, "quantum", i, j),
+                    _grid_chsh(grid, "hidden", i, j),
                     r.quasi.max_imag,
                     r.quasi.min_real,
                 ]

@@ -6,6 +6,9 @@ and floats use shortest round-trip formatting.
 
 Exit codes: 0 success, 2 validation failure (nothing computed), 3 internal
 numerical invariant violation.
+
+``bell`` evaluates each distinct device setting once: a single point and
+its CHSH value share one grid of runs over (0, theta1) x (0, theta2).
 """
 
 from __future__ import annotations
@@ -19,11 +22,9 @@ import sys
 import numpy as np
 
 from .bell import (
-    BellScenario,
-    SWEEP_HEADER,
-    chsh,
-    chsh_at_point,
-    run_bell,
+    _grid_chsh,
+    _setting_grid,
+    build_bell_state,
     sample_joint_outcomes,
     sweep,
 )
@@ -140,35 +141,8 @@ def _initial_state(data, comp: CompositeSystem, devices) -> PureState:
             )
         a = _number_or_pair(state.get("a"), "state.a")
         b = _number_or_pair(state.get("b"), "state.b")
-        for particle in ("P1", "P2"):
-            if particle not in comp.labels:
-                raise ValidationError(
-                    f"state constructor 'bell' requires subsystem {particle!r}"
-                )
-            if comp.dim_of(particle) != 2:
-                raise ValidationError(
-                    f"state constructor 'bell' requires {particle!r} to have dimension 2"
-                )
-        ready_of = {}
-        for device, _ in devices:
-            ready_of[device.label] = device.ready_index
-        slot = []
-        for label in comp.labels:
-            if label in ("P1", "P2"):
-                slot.append(slice(None))
-            elif label in ready_of:
-                slot.append(ready_of[label])
-            else:
-                raise ValidationError(
-                    f"state constructor 'bell' cannot initialize subsystem "
-                    f"{label!r} (neither a particle nor a device pointer)"
-                )
-        pair = np.array([[0.0, a], [-b, 0.0]], dtype=complex)
-        if comp.axis("P2") < comp.axis("P1"):
-            pair = pair.T
-        full = np.zeros(comp.dims, dtype=complex)
-        full[tuple(slot)] = pair
-        return PureState(comp, full.reshape(-1))
+        ready = {device.label: device.ready_index for device, _ in devices}
+        return build_bell_state(a, b, comp, ready)
     raise ValidationError(
         "'state' must be an amplitude list or a named-constructor object"
     )
@@ -322,8 +296,15 @@ def cmd_bell(args) -> int:
     modes = sum(1 for flag in (args.sweep, args.chsh_angles) if flag is not None)
     if modes > 1:
         raise ValidationError("choose one of --sweep / --chsh-angles")
-    if args.samples is not None and modes:
-        raise ValidationError("--samples applies only to single-point runs")
+    if args.samples is not None:
+        if modes:
+            raise ValidationError("--samples applies only to single-point runs")
+        if args.model == "quasi":
+            raise ValidationError(
+                "model 'quasi' is not a probability table and cannot be sampled"
+            )
+        if args.samples < 1:
+            raise ValidationError("sample count must be positive")
 
     theta1, theta2 = args.theta1, args.theta2
     if args.degrees:
@@ -336,6 +317,7 @@ def cmd_bell(args) -> int:
         writer.writerows(rows)
         return 0
 
+    include_m3 = args.model in ("hidden", "all")
     if args.chsh_angles is not None:
         angles = _parse_chsh_angles(args.chsh_angles, args.degrees)
         if args.model == "quasi":
@@ -343,17 +325,24 @@ def cmd_bell(args) -> int:
                 "model 'quasi' has no correlator; valid models for --chsh-angles: "
                 "quantum, hidden, all"
             )
+        grid = _setting_grid(args.a, args.b, angles[:2], angles[2:], include_m3)
         out = {"angles": [float(v) for v in angles], "model": args.model}
         if args.model in ("quantum", "all"):
-            out["S_quantum"] = chsh(args.a, args.b, angles, "quantum")
+            out["S_quantum"] = _grid_chsh(grid, "quantum", 1, 1)
         if args.model in ("hidden", "all"):
-            out["S_hidden"] = chsh(args.a, args.b, angles, "hidden")
+            out["S_hidden"] = _grid_chsh(grid, "hidden", 1, 1)
         _emit_json(out)
         return 0
 
-    include_m3 = args.model in ("hidden", "all")
-    scenario = BellScenario(args.a, args.b, theta1, theta2, include_m3=include_m3)
-    result = run_bell(scenario)
+    # The point is the last cell of its own CHSH grid (0, theta1 | 0, theta2),
+    # so the S values cost no run beyond the grid's distinct settings.
+    if args.model == "quasi":
+        grid = _setting_grid(args.a, args.b, (theta1,), (theta2,), include_m3)
+    else:
+        grid = _setting_grid(
+            args.a, args.b, (0.0, theta1), (0.0, theta2), include_m3
+        )
+    result = grid[-1][-1]
     full = result.to_json_dict()
     out = {
         "a": full["a"],
@@ -368,18 +357,14 @@ def cmd_bell(args) -> int:
         out["marginal2"] = full["marginal2"]
         out["quantum_joint"] = full["quantum_joint"]
         out["E_quantum"] = full["E_quantum"]
-        out["S_quantum"] = chsh_at_point(args.a, args.b, theta1, theta2, "quantum")
+        out["S_quantum"] = _grid_chsh(grid, "quantum", 1, 1)
     if args.model in ("hidden", "all"):
         out["hidden_joint"] = full["hidden_joint"]
         out["E_hidden"] = full["E_hidden"]
-        out["S_hidden"] = chsh_at_point(args.a, args.b, theta1, theta2, "hidden")
+        out["S_hidden"] = _grid_chsh(grid, "hidden", 1, 1)
     if args.model in ("quasi", "all"):
         out["quasi"] = full["quasi"]
     if args.samples is not None:
-        if args.model == "quasi":
-            raise ValidationError(
-                "model 'quasi' is not a probability table and cannot be sampled"
-            )
         table = result.hidden_table if args.model == "hidden" else result.quantum_table
         counts = sample_joint_outcomes(table, args.samples, args.seed)
         out["sampling"] = {

@@ -215,55 +215,6 @@ def spin_basis(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Reproducible outcome draw: index, its probability, and how it was drawn."""
-
-    subsystem: str
-    outcome_index: int
-    probability: float
-    seed: int
-    algorithm: str = SAMPLER_ALGORITHM
-    degenerate: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "subsystem": self.subsystem,
-            "outcome_index": int(self.outcome_index),
-            "probability": float(self.probability),
-            "seed": int(self.seed),
-            "algorithm": self.algorithm,
-            "degenerate": bool(self.degenerate),
-        }
-
-
-def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(int(seed)))
-
-
-def sample_internal_state(
-    ensemble: InternalStateEnsemble, seed: int
-) -> MeasurementRecord:
-    """Draw one internal-state index with the ensemble's probabilities.
-
-    Same (ensemble, seed) always yields the same record.  A degenerate
-    ensemble still samples (the probabilities are unambiguous) but the
-    record carries the flag as a warning that the sampled vector is basis
-    convention dependent.
-    """
-    weights = ensemble.eigenvalues
-    probs = weights / float(weights.sum())
-    rng = _generator(seed)
-    idx = int(rng.choice(probs.size, p=probs))
-    return MeasurementRecord(
-        subsystem=ensemble.subsystem.label,
-        outcome_index=idx,
-        probability=float(weights[idx]),
-        seed=int(seed),
-        degenerate=bool(ensemble.degenerate),
-    )
-
-
 def sample_outcome_indices(
     ensemble: InternalStateEnsemble, count: int, seed: int
 ) -> np.ndarray:
@@ -273,5 +224,5 @@ def sample_outcome_indices(
         raise ValidationError("sample count must be positive")
     weights = ensemble.eigenvalues
     probs = weights / float(weights.sum())
-    rng = _generator(seed)
+    rng = np.random.Generator(np.random.PCG64(int(seed)))
     return rng.choice(probs.size, size=count, p=probs)

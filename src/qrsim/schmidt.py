@@ -104,14 +104,6 @@ class InternalStateEnsemble:
         object.__setattr__(self, "vectors", _lock(vecs.copy()))
         object.__setattr__(self, "negligible", _lock(neg.copy()))
 
-    @property
-    def states(self) -> list:
-        """Ordered (probability, vector) pairs, descending by probability."""
-        return [
-            (float(self.eigenvalues[k]), self.vectors[:, k])
-            for k in range(self.eigenvalues.size)
-        ]
-
     def projector(self, k: int) -> np.ndarray:
         v = self.vectors[:, k]
         return np.outer(v, v.conj())

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 import conftest as oracle
 from qrsim import (
     BellScenario,
+    CompositeSystem,
     SWEEP_HEADER,
     ValidationError,
     build_bell_state,
@@ -58,6 +59,28 @@ class TestBuildBellState:
         build_bell_state(0.70710678, 0.70710678)  # near-unit input is accepted
         with pytest.raises(ValidationError, match="norm"):
             build_bell_state(1.0, 1.0)
+
+    def test_pointers_start_at_their_ready_index(self):
+        comp = CompositeSystem([("M2", 3), ("P2", 2), ("P1", 2), ("M1", 3)])
+        psi = build_bell_state(0.6, 0.8j, comp, {"M1": 0, "M2": 1})
+        # flat index ((m2 * 2 + p2) * 2 + p1) * 3 + m1, with u = 0 and d = 1
+        expected = np.zeros(36, dtype=complex)
+        expected[((1 * 2 + 1) * 2 + 0) * 3 + 0] = 0.6  # P1 up, P2 down
+        expected[((1 * 2 + 0) * 2 + 1) * 3 + 0] = -0.8j  # P1 down, P2 up
+        assert_allclose(psi.amplitudes, expected, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "subsystems, ready, message",
+        [
+            ([("P2", 2), ("M1", 3)], {"M1": 0}, "requires subsystem 'P1'"),
+            ([("P1", 3), ("P2", 2)], {}, "'P1' to have dimension 2"),
+            ([("P1", 2), ("P2", 2), ("X", 2)], {}, "neither a particle"),
+            ([("P1", 2), ("P2", 2), ("M1", 3)], {"M1": 3}, "ready index 3 out of range"),
+        ],
+    )
+    def test_rejects_what_it_cannot_prepare(self, subsystems, ready, message):
+        with pytest.raises(ValidationError, match=message):
+            build_bell_state(0.6, 0.8, CompositeSystem(subsystems), ready)
 
 
 class TestBellScenario:

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qrsim import SWEEP_HEADER
+import qrsim.bell
+from qrsim import SWEEP_HEADER, chsh, chsh_at_point
 from qrsim.cli import main
 
 INV_SQRT2 = 0.7071067811865476
@@ -40,6 +41,38 @@ def installed_distribution():
         return importlib.metadata.distribution("qrsim")
     except importlib.metadata.PackageNotFoundError:
         return None
+
+
+def replace_run_bell(monkeypatch, replacement):
+    """Rebind every ``qrsim`` module name bound to ``run_bell``, as a call tracer does."""
+    original = qrsim.bell.run_bell
+    for name, module in list(sys.modules.items()):
+        if name == "qrsim" or name.startswith("qrsim."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+    return original
+
+
+@pytest.fixture
+def counted_runs(monkeypatch):
+    """Settings of every ``run_bell`` call a call tracer would see."""
+    settings = []
+
+    def counting(scenario):
+        settings.append((scenario.theta1, scenario.theta2, scenario.include_m3))
+        return original(scenario)
+
+    original = replace_run_bell(monkeypatch, counting)
+    return settings
+
+
+@pytest.fixture
+def refused_runs(monkeypatch):
+    def refuse(scenario):
+        raise AssertionError("run_bell was called before validation finished")
+
+    replace_run_bell(monkeypatch, refuse)
 
 
 @pytest.fixture
@@ -229,6 +262,35 @@ class TestJointCommand:
         rc, _, err = run_cli(capsys, "joint", parity_file)
         assert rc == 2 and "queries" in err
 
+    @pytest.mark.parametrize(
+        "subsystems, devices, message",
+        [
+            (
+                [("P1", 2), ("P2", 2), ("X", 2)],
+                [],
+                "cannot initialize subsystem 'X'",
+            ),
+            (
+                [("P1", 2), ("M1", 3), ("P2", 2)],
+                [{"label": "M1", "target": "P1", "theta": 1.0,
+                  "pointer_dim": 5, "ready_index": 4}],
+                "ready index 4 out of range",
+            ),
+        ],
+    )
+    def test_bell_constructor_rejects_what_it_cannot_prepare(
+        self, capsys, tmp_path, subsystems, devices, message
+    ):
+        data = {
+            "subsystems": [{"label": l, "dim": d} for l, d in subsystems],
+            "devices": devices,
+            "state": {"name": "bell", "a": 0.6, "b": 0.8},
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        rc, _, err = run_cli(capsys, "joint", str(path), "P1", "P2")
+        assert rc == 2 and message in err
+
     def test_unknown_label(self, capsys, pair_file):
         rc, _, err = run_cli(capsys, "joint", pair_file, "P1+X")
         assert rc == 2 and "'P1+X'" in err
@@ -336,9 +398,47 @@ class TestBellCommand:
         _, out3, _ = run_cli(capsys, *args[:-1] + ("12",))
         assert out3 != out1
 
-    def test_quasi_model_cannot_be_sampled(self, capsys):
+    def test_quasi_model_cannot_be_sampled(self, capsys, refused_runs):
         rc, _, err = run_cli(capsys, "bell", "--model", "quasi", "--samples", "10")
         assert rc == 2 and "sampled" in err
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_sample_count_is_checked_before_any_run(self, capsys, refused_runs, count):
+        rc, _, err = run_cli(capsys, "bell", "--samples", count)
+        assert rc == 2 and "positive" in err
+
+    @pytest.mark.parametrize(
+        "argv, runs",
+        [
+            (("--theta1", "0.7", "--theta2", "1.9"), 4),
+            (("--theta1", "0.7", "--theta2", "1.9", "--model", "quantum"), 4),
+            (("--theta1", "0.7", "--theta2", "1.9", "--model", "quasi"), 1),
+            (("--chsh-angles", "0,1.5707963,0.7853982,2.3561945"), 4),
+            # (0, 0) and (1.3, 0) repeat in the (0, 1.3) x (0, 0) grid
+            (("--theta1", "1.3", "--theta2", "0", "--model", "hidden"), 2),
+        ],
+    )
+    def test_each_distinct_setting_runs_once(self, capsys, counted_runs, argv, runs):
+        rc, _, _ = run_cli(capsys, "bell", *argv)
+        assert rc == 0
+        assert len(counted_runs) == runs == len(set(counted_runs))
+
+    @pytest.mark.parametrize("a, b", [(INV_SQRT2, INV_SQRT2), (0.6, 0.8)])
+    def test_chsh_values_match_the_library(self, capsys, a, b):
+        coeffs = ("--a", repr(a), "--b", repr(b))
+        _, out, _ = run_cli(capsys, "bell", *coeffs, "--theta1", "2.1", "--theta2", "4.4")
+        point = json.loads(out)
+        for model in ("quantum", "hidden"):
+            want = chsh_at_point(a, b, 2.1, 4.4, model)
+            assert point[f"S_{model}"] == pytest.approx(want, abs=1e-12)
+        angles = (0.0, 1.5707963, 0.7853982, 2.3561945)
+        _, out, _ = run_cli(
+            capsys, "bell", *coeffs, "--chsh-angles", ",".join(map(repr, angles))
+        )
+        grid = json.loads(out)
+        for model in ("quantum", "hidden"):
+            want = chsh(a, b, angles, model)
+            assert grid[f"S_{model}"] == pytest.approx(want, abs=1e-12)
 
     def test_degrees_flag(self, capsys):
         _, out_rad, _ = run_cli(

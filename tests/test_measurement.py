@@ -16,7 +16,6 @@ from qrsim import (
     build_measurement_unitary,
     partial_trace,
     possible_internal_states,
-    sample_internal_state,
     sample_outcome_indices,
     spin_basis,
     tensor,
@@ -180,20 +179,12 @@ class TestSampling:
         self.ens = InternalStateEnsemble(sub, [0.64, 0.36], np.eye(2))
         self.certain = InternalStateEnsemble(sub, [1.0, 0.0], np.eye(2))
 
-    def test_same_seed_same_record(self):
-        r1 = sample_internal_state(self.ens, seed=123)
-        r2 = sample_internal_state(self.ens, seed=123)
-        assert r1 == r2
-        assert r1.algorithm == SAMPLER_ALGORITHM == "numpy.random.PCG64"
-        assert r1.seed == 123
-        assert r1.subsystem == "A"
-        assert r1.probability == pytest.approx(self.ens.eigenvalues[r1.outcome_index])
-
     def test_bulk_draws_are_reproducible(self):
         a = sample_outcome_indices(self.ens, 500, seed=9)
         b = sample_outcome_indices(self.ens, 500, seed=9)
         assert np.array_equal(a, b)
         assert set(np.unique(a)) <= {0, 1}
+        assert SAMPLER_ALGORITHM == "numpy.random.PCG64"
 
     def test_certain_outcome(self):
         draws = sample_outcome_indices(self.certain, 200, seed=4)
@@ -204,18 +195,6 @@ class TestSampling:
         freq = np.bincount(draws, minlength=2) / draws.size
         assert_allclose(freq, [0.64, 0.36], atol=0.01)
 
-    def test_degenerate_flag_is_carried(self):
-        sub = CompositeSystem([("A", 2)]).full_set()
-        flat = InternalStateEnsemble(sub, [0.5, 0.5], np.eye(2), degenerate=True)
-        assert sample_internal_state(flat, seed=0).degenerate
-        assert not sample_internal_state(self.ens, seed=0).degenerate
-
     def test_count_validation(self):
         with pytest.raises(ValidationError, match="positive"):
             sample_outcome_indices(self.ens, 0, seed=1)
-
-    def test_record_serialization(self):
-        d = sample_internal_state(self.ens, seed=5).to_json_dict()
-        assert set(d) == {
-            "subsystem", "outcome_index", "probability", "seed", "algorithm", "degenerate",
-        }

@@ -50,8 +50,8 @@ class TestPossibleInternalStates:
     def test_states_and_projectors(self):
         comp = CompositeSystem([("A", 2)])
         ens = possible_internal_states(density(comp, np.diag([0.25, 0.75])))
-        (p0, v0), (p1, v1) = ens.states
-        assert p0 == pytest.approx(0.75) and p1 == pytest.approx(0.25)
+        assert list(ens.eigenvalues) == pytest.approx([0.75, 0.25])
+        v0 = ens.vectors[:, 0]
         assert_allclose(ens.projector(0), np.outer(v0, v0.conj()), atol=1e-15)
         assert_allclose(ens.projector(0) @ ens.projector(1), np.zeros((2, 2)), atol=1e-15)
 
