@@ -29,10 +29,10 @@ from .bell import (
     sweep,
 )
 from .errors import NumericalInvariantError, ValidationError
-from .hilbert import CompositeSystem, PureState, apply, as_subsystem_set, partial_trace
+from .hilbert import CompositeSystem, PureState, apply, as_subsystem_set
 from .measurement import SAMPLER_ALGORITHM, MeasurementDevice, build_measurement_unitary, spin_basis
 from .qrs import comparability, formal_joint, joint_probability
-from .schmidt import possible_internal_states, schmidt_decompose
+from .schmidt import schmidt_decompose
 
 INV_SQRT2 = 0.7071067811865476
 
@@ -41,43 +41,59 @@ def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _reim_list(vector) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vector, dtype=complex)]
+def _reim_columns(matrix: np.ndarray) -> list:
+    """Each column of a complex matrix as a list of [re, im] pairs."""
+    return np.stack((matrix.real, matrix.imag), -1).transpose(1, 0, 2).tolist()
 
 
 # ---------------------------------------------------------------------------
 # scenario ingestion
 
+def _too_large(where: str) -> ValidationError:
+    return ValidationError(f"{where} is too large for a float")
+
+
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise _too_large(where) from None
 
 
 def _number_or_pair(value, where: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (
+        real, imag = value, 0.0
+    elif (
         isinstance(value, list)
         and len(value) == 2
         and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
-        return complex(float(value[0]), float(value[1]))
-    raise ValidationError(f"{where} must be a number or a [re, im] pair")
+        real, imag = value
+    else:
+        raise ValidationError(f"{where} must be a number or a [re, im] pair")
+    try:
+        return complex(float(real), float(imag))
+    except OverflowError:
+        raise _too_large(where) from None
 
 
 def _complex_vector(value, where: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise ValidationError(f"{where} must be a non-empty list of [re, im] pairs")
     out = np.empty(len(value), dtype=complex)
-    for k, entry in enumerate(value):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry)
-        ):
-            raise ValidationError(f"{where}[{k}] must be a [re, im] pair")
-        out[k] = complex(float(entry[0]), float(entry[1]))
+    try:
+        for k, entry in enumerate(value):
+            if (
+                not isinstance(entry, list)
+                or len(entry) != 2
+                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry)
+            ):
+                raise ValidationError(f"{where}[{k}] must be a [re, im] pair")
+            out[k] = complex(float(entry[0]), float(entry[1]))
+    except OverflowError:
+        raise _too_large(f"{where}[{k}]") from None
     return out
 
 
@@ -218,17 +234,18 @@ def cmd_schmidt(args) -> int:
     psi, comp, _ = _prepare(args.scenario)
     cut = _resolve_set(args.cut, comp)
     sd = schmidt_decompose(psi, cut)
-    left_spectrum = possible_internal_states(partial_trace(psi, sd.left)).eigenvalues
-    right_spectrum = possible_internal_states(partial_trace(psi, sd.right)).eigenvalues
+    # Both sides of a pure state share one spectrum: the squared Schmidt
+    # coefficients, zero-padded to each side's dimension.
+    squares = np.clip(sd.coefficients ** 2, 0.0, 1.0).tolist()
     out = {
         "cut": sd.left.label,
         "complement": sd.right.label,
         "coefficients": [float(c) for c in sd.coefficients],
         "rank": int(sd.rank),
-        "left_basis": [_reim_list(sd.left_basis[:, k]) for k in range(sd.left_basis.shape[1])],
-        "right_basis": [_reim_list(sd.right_basis[:, k]) for k in range(sd.right_basis.shape[1])],
-        "left_spectrum": [float(v) for v in left_spectrum],
-        "right_spectrum": [float(v) for v in right_spectrum],
+        "left_basis": _reim_columns(sd.left_basis),
+        "right_basis": _reim_columns(sd.right_basis),
+        "left_spectrum": squares + [0.0] * (sd.left.joint_dim - len(squares)),
+        "right_spectrum": squares + [0.0] * (sd.right.joint_dim - len(squares)),
     }
     _emit_json(out)
     return 0

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from qrsim import SWEEP_HEADER, chsh, chsh_at_point
 from qrsim.cli import main
 
 INV_SQRT2 = 0.7071067811865476
+HUGE = 10 ** 400  # a JSON integer literal that no float can hold
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -108,6 +110,26 @@ def measured_file(tmp_path):
     path = tmp_path / "measured.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+@pytest.fixture
+def mixed_file(tmp_path):
+    """A seeded amplitude-list state on A(3), B(2), C(3), D(2), and its vector."""
+    rng = np.random.default_rng(3232)
+    psi = rng.normal(size=36) + 1j * rng.normal(size=36)
+    psi /= np.linalg.norm(psi)
+    data = {
+        "subsystems": [
+            {"label": "A", "dim": 3},
+            {"label": "B", "dim": 2},
+            {"label": "C", "dim": 3},
+            {"label": "D", "dim": 2},
+        ],
+        "state": [[float(z.real), float(z.imag)] for z in psi],
+    }
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(data))
+    return str(path), psi
 
 
 @pytest.fixture
@@ -203,6 +225,81 @@ class TestSchmidtCommand:
     def test_whole_system_cut_rejected(self, capsys, pair_file):
         rc, _, err = run_cli(capsys, "schmidt", pair_file, "--cut", "P1+P2")
         assert rc == 2 and "complement" in err
+
+    @pytest.mark.parametrize(
+        "field, scenario",
+        [
+            ("state[2]", {"state": [[1.0, 0.0], [0.0, 0.0], [HUGE, 0.0], [0.0, 0.0]]}),
+            ("'theta'", {"devices": [{"label": "M1", "target": "P1", "theta": HUGE}]}),
+            ("state.a", {"state": {"name": "bell", "a": HUGE, "b": 0.8}}),
+            ("state.b", {"state": {"name": "bell", "a": 0.6, "b": [0.8, HUGE]}}),
+        ],
+    )
+    def test_huge_integer_literal_names_the_field(self, capsys, tmp_path, field, scenario):
+        data = {
+            "subsystems": [{"label": "P1", "dim": 2}, {"label": "P2", "dim": 2}],
+            "state": {"name": "bell", "a": 0.6, "b": 0.8},
+            **scenario,
+        }
+        if "devices" in scenario:
+            data["subsystems"].append({"label": "M1", "dim": 3})
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        rc, out, err = run_cli(capsys, "schmidt", str(path), "--cut", "P1")
+        assert rc == 2 and out == ""
+        assert field in err and "too large" in err
+
+    def test_spectra_are_the_padded_squared_coefficients(self, capsys, mixed_file):
+        # the cut A+C (dimension 9) is larger than its complement B+D (4)
+        path, psi = mixed_file
+        rc, out, _ = run_cli(capsys, "schmidt", path, "--cut", "A+C")
+        assert rc == 0
+        data = json.loads(out)
+        left, right = data["left_spectrum"], data["right_spectrum"]
+        assert (len(left), len(right)) == (9, 4)
+
+        t = psi.reshape(3, 2, 3, 2)
+        rho_ac = np.einsum("abcd,ebfd->acef", t, t.conj()).reshape(9, 9)
+        rho_bd = np.einsum("abcd,aecf->bdef", t, t.conj()).reshape(4, 4)
+        assert_allclose(left, np.sort(np.linalg.eigvalsh(rho_ac))[::-1], atol=1e-12)
+        assert_allclose(right, np.sort(np.linalg.eigvalsh(rho_bd))[::-1], atol=1e-12)
+
+        squares = (np.asarray(data["coefficients"]) ** 2).tolist()
+        assert len(squares) == 4
+        assert left == squares + [0.0] * 5
+        assert right == squares
+        assert all(math.copysign(1.0, v) == 1.0 for v in left[4:])
+
+    def test_no_eigendecomposition_is_needed(self, capsys, monkeypatch, mixed_file):
+        def refuse(*args, **kwargs):
+            raise AssertionError("schmidt eigendecomposed a matrix")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        rc, out, _ = run_cli(capsys, "schmidt", mixed_file[0], "--cut", "B")
+        assert rc == 0
+        assert len(json.loads(out)["right_spectrum"]) == 18
+
+    def test_one_qubit_cut_of_twelve_qubits_builds_no_reduction(self, capsys, tmp_path):
+        # the complement's reduced matrix alone would be 2048^2 complex = 64 MiB
+        rng = np.random.default_rng(1212)
+        psi = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+        psi /= np.linalg.norm(psi)
+        data = {
+            "subsystems": [{"label": f"q{i}", "dim": 2} for i in range(12)],
+            "state": [[float(z.real), float(z.imag)] for z in psi],
+        }
+        path = tmp_path / "twelve.json"
+        path.write_text(json.dumps(data))
+        tracemalloc.start()
+        try:
+            rc = main(["schmidt", str(path), "--cut", "q0"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0 and len(out["right_spectrum"]) == 2048
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestJointCommand:
