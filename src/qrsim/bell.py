@@ -36,7 +36,7 @@ from .hilbert import (
     apply,
 )
 from .measurement import MeasurementDevice, build_measurement_unitary, spin_basis
-from .qrs import JointDistribution, QuasiDistribution, formal_joint, joint_probability
+from .qrs import JointDistribution, QuasiDistribution, _reim_pairs, formal_joint, joint_probability
 from .schmidt import DEFAULT_TOLERANCE, InternalStateEnsemble
 
 PARTICLE_1 = "P1"
@@ -134,36 +134,27 @@ class BellResult:
     E_hidden: float | None = None
 
     def to_json_dict(self) -> dict:
-        def reim(z):
-            z = complex(z)
-            return [float(z.real), float(z.imag)]
-
         out = {
-            "a": reim(self.scenario.a),
-            "b": reim(self.scenario.b),
+            "a": _reim_pairs(self.scenario.a),
+            "b": _reim_pairs(self.scenario.b),
             "theta1": float(self.scenario.theta1),
             "theta2": float(self.scenario.theta2),
             "outcome_values": [float(v) for v in self.scenario.outcome_values],
-            "marginal1": [float(v) for v in self.marginal1],
-            "marginal2": [float(v) for v in self.marginal2],
-            "quantum_joint": [[float(v) for v in row] for row in self.quantum_table],
+            "marginal1": self.marginal1.tolist(),
+            "marginal2": self.marginal2.tolist(),
+            "quantum_joint": self.quantum_table.tolist(),
             "E_quantum": float(self.E_quantum),
             "hidden_joint": None,
             "E_hidden": None,
             "quasi": {
                 "systems": [s.label for s in self.quasi.systems],
-                "table": [
-                    [[reim(v) for v in row] for row in plane]
-                    for plane in self.quasi_table
-                ],
+                "table": _reim_pairs(self.quasi_table),
                 "max_imag": self.quasi.max_imag,
                 "min_real": self.quasi.min_real,
             },
         }
         if self.hidden_table is not None:
-            out["hidden_joint"] = [
-                [float(v) for v in row] for row in self.hidden_table
-            ]
+            out["hidden_joint"] = self.hidden_table.tolist()
             out["E_hidden"] = float(self.E_hidden)
         return out
 

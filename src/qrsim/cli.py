@@ -18,6 +18,8 @@ import csv
 import json
 import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -31,19 +33,74 @@ from .bell import (
 from .errors import NumericalInvariantError, ValidationError
 from .hilbert import CompositeSystem, PureState, apply, as_subsystem_set
 from .measurement import SAMPLER_ALGORITHM, MeasurementDevice, build_measurement_unitary, spin_basis
-from .qrs import comparability, formal_joint, joint_probability
+from .qrs import _reim_pairs, comparability, formal_joint, joint_probability
 from .schmidt import schmidt_decompose
 
 INV_SQRT2 = 0.7071067811865476
 
 
 def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    sys.stdout.write(_indented_json(obj) + "\n")
 
 
-def _reim_columns(matrix: np.ndarray) -> list:
-    """Each column of a complex matrix as a list of [re, im] pairs."""
-    return np.stack((matrix.real, matrix.imag), -1).transpose(1, 0, 2).tolist()
+def _pair_leaves(value: list):
+    """The entries of a list of two-element lists, flattened; None for any other list.
+
+    Every check is a C-level scan, not a Python loop over the entries.
+    """
+    if set(map(type, value)) == {list} and set(map(len, value)) == {2}:
+        return list(chain.from_iterable(value))
+    return None
+
+
+def _float_items(value, level: int):
+    """The items of a list at ``level`` as ``json.dumps(indent=2)`` lays them out.
+
+    Only for a list of finite floats or of [re, im] pairs of them, formatted
+    with one template and one ``%`` call; None for any other list.
+    """
+    pad = "\n" + "  " * (level + 1)
+    if set(map(type, value)) == {float}:
+        floats, item = value, "%r"
+    else:
+        floats = _pair_leaves(value)
+        if floats is None or set(map(type, floats)) != {float}:
+            return None
+        item = "[" + pad + "  %r," + pad + "  %r" + pad + "]"
+    if not math.isfinite(sum(floats)):  # json spells NaN and Infinity its own way
+        return None
+    return ("," + pad).join([item] * len(value)) % tuple(floats)
+
+
+def _indented_json(value, level: int = 0) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for string-keyed objects.
+
+    The pure-Python encoder that ``indent`` selects writes one float at a
+    time; here whole lists of floats and of [re, im] pairs are formatted at
+    once.  Strings and keys go through json's C escaper, and every scalar
+    other than a finite float through ``json.dumps`` itself.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = _float_items(value, level)
+        if items is None:
+            items = ("," + pad).join([_indented_json(v, level + 1) for v in value])
+        return "[" + pad + items + "\n" + "  " * level + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ("," + pad).join([
+            encode_basestring_ascii(k) + ": " + _indented_json(v, level + 1)
+            for k, v in value.items()
+        ])
+        return "{" + pad + items + "\n" + "  " * level + "}"
+    return json.dumps(value)
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +139,14 @@ def _number_or_pair(value, where: str) -> complex:
 def _complex_vector(value, where: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise ValidationError(f"{where} must be a non-empty list of [re, im] pairs")
+    # numpy would also take true, "1" and null, so it converts only what the
+    # scan shows to be plain number pairs; the loop below names a bad entry.
+    leaves = _pair_leaves(value)
+    if leaves is not None and set(map(type, leaves)) <= {int, float}:
+        try:
+            return np.array(leaves, dtype=float).view(complex)
+        except OverflowError:
+            pass
     out = np.empty(len(value), dtype=complex)
     try:
         for k, entry in enumerate(value):
@@ -240,10 +305,10 @@ def cmd_schmidt(args) -> int:
     out = {
         "cut": sd.left.label,
         "complement": sd.right.label,
-        "coefficients": [float(c) for c in sd.coefficients],
+        "coefficients": sd.coefficients.tolist(),
         "rank": int(sd.rank),
-        "left_basis": _reim_columns(sd.left_basis),
-        "right_basis": _reim_columns(sd.right_basis),
+        "left_basis": _reim_pairs(sd.left_basis.T),
+        "right_basis": _reim_pairs(sd.right_basis.T),
         "left_spectrum": squares + [0.0] * (sd.left.joint_dim - len(squares)),
         "right_spectrum": squares + [0.0] * (sd.right.joint_dim - len(squares)),
     }
@@ -256,8 +321,13 @@ def _joint_query(psi: PureState, comp: CompositeSystem, exprs) -> dict:
     verdict = comparability(sets, comp)
     out = {"query": [s.label for s in sets], **verdict.to_json_dict()}
     if verdict.comparable:
-        replacement = {orig.label: repl for orig, repl in verdict.substitutions}
-        resolved = [replacement.get(s.label, s) for s in sets]
+        # One substitution per replaced position, in query order and leftmost
+        # first among equal systems: a system named twice is replaced once.
+        resolved, start = list(sets), 0
+        for orig, repl in verdict.substitutions:
+            start = resolved.index(orig, start)
+            resolved[start] = repl
+            start += 1
         out["systems"] = [s.label for s in resolved]
         out["distribution"] = joint_probability(resolved, psi).to_json_dict()
         return out

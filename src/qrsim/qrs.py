@@ -60,6 +60,12 @@ _EINSUM_LABELS = string.ascii_letters
 # ---------------------------------------------------------------------------
 # distribution containers
 
+def _reim_pairs(values) -> list:
+    """A complex array or number as nested lists that end in [re, im] float pairs."""
+    values = np.asarray(values)
+    return np.stack((values.real, values.imag), -1).tolist()
+
+
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Proper joint outcome table over pairwise-disjoint systems.
@@ -115,7 +121,7 @@ class JointDistribution:
         return {
             "systems": [s.label for s in self.systems],
             "shape": [int(n) for n in self.table.shape],
-            "values": [float(v) for v in self.table.reshape(-1)],
+            "values": self.table.reshape(-1).tolist(),
         }
 
 
@@ -158,9 +164,7 @@ class QuasiDistribution:
         return {
             "systems": [s.label for s in self.systems],
             "shape": [int(n) for n in self.table.shape],
-            "values": [
-                [float(v.real), float(v.imag)] for v in self.table.reshape(-1)
-            ],
+            "values": _reim_pairs(self.table.reshape(-1)),
             "max_imag": self.max_imag,
             "min_real": self.min_real,
         }
@@ -172,7 +176,9 @@ class ComparabilityVerdict:
 
     ``route`` is one of ``pairwise-disjoint`` (no substitution needed),
     ``complement-reduction`` (the listed substitutions make the tuple
-    disjoint) or ``none``.
+    disjoint) or ``none``.  ``substitutions`` holds one (original,
+    replacement) pair per replaced position, in query order; of equal
+    systems, the leftmost are the ones replaced.
     """
 
     comparable: bool

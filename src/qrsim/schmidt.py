@@ -108,19 +108,6 @@ class InternalStateEnsemble:
         v = self.vectors[:, k]
         return np.outer(v, v.conj())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "subsystem": self.subsystem.label,
-            "tolerance": float(self.tolerance),
-            "degenerate": bool(self.degenerate),
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "negligible": [bool(f) for f in self.negligible],
-            "vectors": [
-                [[float(c.real), float(c.imag)] for c in self.vectors[:, k]]
-                for k in range(self.eigenvalues.size)
-            ],
-        }
-
 
 def possible_internal_states(
     rho: DensityMatrix, tolerance: float = DEFAULT_TOLERANCE
@@ -227,23 +214,6 @@ class SchmidtDecomposition:
         object.__setattr__(self, "coefficients", _lock(coeffs.copy()))
         object.__setattr__(self, "left_basis", _lock(lb.copy()))
         object.__setattr__(self, "right_basis", _lock(rb.copy()))
-
-    def to_json_dict(self) -> dict:
-        def cols(mat):
-            return [
-                [[float(c.real), float(c.imag)] for c in mat[:, k]]
-                for k in range(mat.shape[1])
-            ]
-
-        return {
-            "left": self.left.label,
-            "right": self.right.label,
-            "coefficients": [float(c) for c in self.coefficients],
-            "rank": int(self.rank),
-            "tolerance": float(self.tolerance),
-            "left_basis": cols(self.left_basis),
-            "right_basis": cols(self.right_basis),
-        }
 
 
 def schmidt_decompose(

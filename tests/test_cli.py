@@ -12,10 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qrsim.bell
-from qrsim import SWEEP_HEADER, chsh, chsh_at_point
+import qrsim.cli
+from qrsim import SWEEP_HEADER, CompositeSystem, PureState, chsh, chsh_at_point, joint_probability
 from qrsim.cli import main
 
 INV_SQRT2 = 0.7071067811865476
@@ -340,6 +343,28 @@ class TestJointCommand:
         assert data["quasi"]["shape"] == [6, 3, 3]
         assert data["quasi"]["min_real"] < -1e-3
 
+    def test_repeated_system_is_replaced_at_one_position(self, capsys, tmp_path):
+        rng = np.random.default_rng(808)
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+        amps /= np.linalg.norm(amps)
+        data = {
+            "subsystems": [{"label": "A", "dim": 2}, {"label": "B", "dim": 2}],
+            "state": [[float(z.real), float(z.imag)] for z in amps],
+        }
+        path = tmp_path / "ab.json"
+        path.write_text(json.dumps(data))
+        rc, out, err = run_cli(capsys, "joint", str(path), "A", "A")
+        assert rc == 0 and err == ""
+        data = json.loads(out)
+        assert data["route"] == "complement-reduction"
+        assert data["substitutions"] == [{"original": "A", "replacement": "B"}]
+        assert data["systems"] == ["B", "A"]
+        want = joint_probability(
+            ["B", "A"], PureState(CompositeSystem([("A", 2), ("B", 2)]), amps)
+        )
+        assert data["distribution"]["shape"] == [2, 2]
+        assert_allclose(data["distribution"]["values"], want.table.reshape(-1), atol=1e-12)
+
     def test_query_beyond_the_label_budget_exits_2(self, capsys, measured_file):
         # 4 state axes + 13 x (3 axes + 1 index) = 56 einsum labels > 52;
         # the table would have 12**13 entries
@@ -555,6 +580,141 @@ class TestBellCommand:
             main(["bell", "--model", "classical"])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+def write_amplitude_scenario(tmp_path, where, bad=None):
+    """A valid scenario whose ``state`` or device ``basis`` has ``bad`` deep inside.
+
+    Returns the path and the field the exit-2 message must name; ``bad=None``
+    leaves the scenario valid.
+    """
+    eye = [[[1.0 if i == j else 0.0, 0.0] for j in range(16)] for i in range(16)]
+    data = {
+        "subsystems": [{"label": "A", "dim": 16}, {"label": "M", "dim": 17}],
+        "devices": [{"label": "M", "target": "A", "basis": eye}],
+        "state": [[0.0, 0.0]] * (16 * 17),
+    }
+    data["state"][0] = [1.0, 0.0]
+    if where == "state":
+        field, row, k = "state[201]", data["state"], 201
+    else:
+        field, row, k = "devices[0]: basis[7][13]", eye[7], 13
+    if bad is not None:
+        row[k] = bad
+    path = tmp_path / "amplitudes.json"
+    path.write_text(json.dumps(data))
+    return str(path), field
+
+
+class TestAmplitudeParsing:
+    """Amplitude lists are converted in bulk; a bad entry is still named exactly."""
+
+    @pytest.mark.parametrize("where", ["state", "basis"])
+    @pytest.mark.parametrize(
+        "bad, problem",
+        [
+            ([True, 0], "must be a [re, im] pair"),
+            ([0.0, False], "must be a [re, im] pair"),
+            (["1", 0], "must be a [re, im] pair"),
+            ([None, 0], "must be a [re, im] pair"),
+            ([0.1, 0.2, 0.3], "must be a [re, im] pair"),
+            (0.5, "must be a [re, im] pair"),
+            ([HUGE, 0], "is too large for a float"),
+        ],
+        ids=["true", "false-imag", "string", "null", "three", "bare-number", "huge-int"],
+    )
+    def test_bad_entry_is_named(self, capsys, tmp_path, where, bad, problem):
+        path, field = write_amplitude_scenario(tmp_path, where, bad)
+        rc, out, err = run_cli(capsys, "joint", path, "A")
+        assert rc == 2 and out == ""
+        assert err == f"error: {path}: {field} {problem}\n"
+
+    @pytest.mark.parametrize("where", ["state", "basis"])
+    def test_valid_scenario_parses(self, capsys, tmp_path, where):
+        path, _ = write_amplitude_scenario(tmp_path, where)
+        rc, _, err = run_cli(capsys, "joint", path, "A")
+        assert rc == 0, err
+
+    def test_bulk_conversion_equals_the_entrywise_one(self):
+        rng = np.random.default_rng(909)
+        value = [[float(x), float(y)] for x, y in rng.normal(size=(500, 2))]
+        value[:8] = [[-0.0, 0.0], [0.0, -0.0], [5e-324, -5e-324], [1, -1],
+                     [2**53 + 1, 0], [-(2**70) - 1, 3], [1e308, 1e-300], [0, 0.0]]
+        want = np.array([complex(float(re), float(im)) for re, im in value])
+        got = qrsim.cli._complex_vector(value, "state")
+        assert got.dtype == complex and got.tobytes() == want.tobytes()
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e-300, 1.5e16, math.nan, math.inf, -math.inf]
+any_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+finite_floats = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS[:5]), st.floats(allow_nan=False, allow_infinity=False)
+)
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), any_floats, st.text(),
+    st.lists(finite_floats), st.lists(any_floats),
+    st.lists(st.lists(finite_floats, min_size=2, max_size=2)),
+    st.lists(st.lists(any_floats, min_size=2, max_size=2)),
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@pytest.fixture
+def emitted(monkeypatch):
+    """Every object the CLI hands to its JSON emitter."""
+    objects = []
+    original = qrsim.cli._emit_json
+
+    def recording(obj):
+        objects.append(obj)
+        original(obj)
+
+    monkeypatch.setattr(qrsim.cli, "_emit_json", recording)
+    return objects
+
+
+class TestJsonEmitter:
+    """stdout is exactly ``json.dumps(obj, indent=2)`` plus a newline."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_trees)
+    def test_matches_json_dumps_on_json_trees(self, tree):
+        assert qrsim.cli._indented_json(tree) == json.dumps(tree, indent=2)
+
+    def test_non_ascii_labels_are_escaped(self):
+        obj = {"\u03b1": ["\u03b2+\u03b3", [0.5, -0.0]], "q": [[1e-300, 1.5e16]]}
+        assert qrsim.cli._indented_json(obj) == json.dumps(obj, indent=2)
+        assert "\\u03b1" in qrsim.cli._indented_json(obj)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("schmidt", "{mixed}", "--cut", "A+C"),
+            ("schmidt", "{pair}", "--cut", "P1"),
+            ("joint", "{mixed}", "A", "B+D"),
+            ("joint", "{parity}", "S1+S2", "S2+S3"),
+            ("joint", "{measured}", "P1+M1", "M1", "M2"),
+            ("joint", "{pair}"),
+            ("bell", "--model", "all", "--theta1", "0.7", "--theta2", "1.9"),
+            ("bell", "--model", "quasi", "--theta1", "-0"),
+            ("bell", "--model", "quantum", "--samples", "20", "--seed", "3"),
+            ("bell", "--chsh-angles", "0,1.5707963,0.7853982,2.3561945"),
+            ("bell", "--chsh-angles", "0,90,45,135", "--degrees", "--model", "hidden"),
+        ],
+    )
+    def test_cli_outputs_match_json_dumps(
+        self, capsys, emitted, argv, pair_file, measured_file, mixed_file, parity_file
+    ):
+        files = {"pair": pair_file, "measured": measured_file,
+                 "mixed": mixed_file[0], "parity": parity_file}
+        rc, out, _ = run_cli(capsys, *(a.format(**files) for a in argv))
+        assert rc == 0 and len(emitted) == 1
+        assert out == json.dumps(emitted[0], indent=2) + "\n"
 
 
 class TestDeterminism:

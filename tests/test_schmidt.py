@@ -112,12 +112,15 @@ class TestPossibleInternalStates:
         with pytest.raises(ValidationError, match="DensityMatrix"):
             possible_internal_states(np.eye(2) / 2)
 
-    def test_json_round_trip_keys(self):
+    def test_ensemble_fields(self):
         comp = CompositeSystem([("A", 2)])
-        d = possible_internal_states(density(comp, np.diag([0.7, 0.3]))).to_json_dict()
-        assert d["subsystem"] == "A"
-        assert d["eigenvalues"] == [0.7, 0.3]
-        assert len(d["vectors"]) == 2 and len(d["vectors"][0]) == 2
+        ens = possible_internal_states(density(comp, np.diag([0.7, 0.3])))
+        assert ens.subsystem.label == "A"
+        assert ens.eigenvalues.tolist() == [0.7, 0.3]
+        assert ens.vectors.shape == (2, 2)
+        assert_allclose(np.abs(ens.vectors), np.eye(2), atol=1e-12)
+        assert ens.negligible.tolist() == [False, False]
+        assert ens.degenerate is False
 
 
 class TestEnsembleValidation:
