@@ -13,8 +13,11 @@ vector:
   pointer, second pointer), which is generally complex or negative exactly
   where the proper correlator beats every factorizing model.
 
-CHSH values are read off one grid of runs over the settings they involve,
-and each distinct setting runs once.
+CHSH values are read off one grid of runs over the settings they involve.
+The grid hands its distinct settings to one batched engine, which prepares
+the pair once, stacks every setting's devices along a leading axis and
+computes all of their tables in one pass; ``run_bell`` is that engine's
+batch of one, so a setting gives the same result either way.
 
 Outcome indexing everywhere: index 0 is the basis vector at the device
 angle (value +1), index 1 its orthogonal companion (value -1).
@@ -32,12 +35,30 @@ from .hilbert import (
     CompositeSystem,
     NORM_ACCEPT_BAND,
     PureState,
+    _apply_matrices,
+    _check_density,
+    _check_eigen_floor,
+    _check_unitary,
+    _checked_norms,
     _lock,
+    _pure_reductions,
     apply,
 )
-from .measurement import MeasurementDevice, build_measurement_unitary, spin_basis
-from .qrs import JointDistribution, QuasiDistribution, _reim_pairs, formal_joint, joint_probability
-from .schmidt import DEFAULT_TOLERANCE, InternalStateEnsemble
+from .measurement import (
+    MeasurementDevice,
+    _check_basis,
+    _coupling_matrix,
+    build_measurement_unitary,
+    spin_basis,
+)
+from .qrs import (
+    JointDistribution,
+    QuasiDistribution,
+    _projector_product_table,
+    _real_table,
+    _reim_pairs,
+)
+from .schmidt import DEFAULT_TOLERANCE, InternalStateEnsemble, _canonical_eigh, _ensemble
 
 PARTICLE_1 = "P1"
 PARTICLE_2 = "P2"
@@ -47,6 +68,10 @@ DEVICE_3 = "M3"
 
 _POINTER_DIM = 3
 _READY = 0
+# outcome k of a device steers its pointer from ready to position k + 1
+_POINTERS = (1, 2)
+# settings per stacked run; each holds about 17 KiB of transients while it runs
+_BATCH_LIMIT = 1024
 _READY_MASS_ATOL = 1e-9
 _CORRELATOR_BOUND_ATOL = 1e-9
 
@@ -205,161 +230,222 @@ def build_bell_state(
     return PureState(system, full.reshape(-1))
 
 
-def _outcome_indices(ensemble: InternalStateEnsemble, pointers) -> tuple:
-    """Ensemble index holding each pointer position's state.
+def _outcome_indices(vectors: np.ndarray) -> np.ndarray:
+    """Ensemble index holding each outcome's pointer position, per ensemble.
 
-    The pointer's reduced matrix is diagonal in its position basis, so each
-    ensemble vector concentrates on one position; readout is the argmax.
+    ``vectors`` stacks pointer ensembles (columns).  A pointer's reduced
+    matrix is diagonal in its position basis, so each ensemble vector
+    concentrates on one position; readout is the argmax.  Returns one row
+    of indices, aligned with ``_POINTERS``, per ensemble.
     """
-    indices = []
-    for p in pointers:
-        weights = np.abs(ensemble.vectors[p, :]) ** 2
-        idx = int(np.argmax(weights))
-        if weights[idx] <= 0.5:
-            raise NumericalInvariantError(
-                f"pointer position {p} is not resolved by any ensemble vector "
-                f"(best weight {weights[idx]:.3e})"
-            )
-        indices.append(idx)
-    if len(set(indices)) != len(indices):
+    weights = np.abs(vectors[..., _POINTERS, :]) ** 2
+    indices = np.argmax(weights, axis=-1)
+    best = np.take_along_axis(weights, indices[..., None], axis=-1)[..., 0]
+    if np.any(best <= 0.5):
+        worst = np.unravel_index(np.argmin(best), best.shape)
+        raise NumericalInvariantError(
+            f"pointer position {_POINTERS[worst[-1]]} is not resolved by any "
+            f"ensemble vector (best weight {best[worst]:.3e})"
+        )
+    if np.any(indices[..., 0] == indices[..., 1]):
         raise NumericalInvariantError("pointer positions map to one ensemble vector")
-    return tuple(indices)
+    return indices
 
 
-def _check_outcome_mass(block: np.ndarray, what: str) -> None:
-    drift = abs(float(block.real.sum()) - 1.0)
+def _outcome_blocks(tables: np.ndarray, idx1: np.ndarray, idx2: np.ndarray) -> np.ndarray:
+    """Stacked (run, M1, M2, ...) tables at each run's outcome indices."""
+    runs = np.arange(len(tables))[:, None, None]
+    return tables[runs, idx1[:, :, None], idx2[:, None, :]]
+
+
+def _checked_correlators(blocks: np.ndarray, values, what: str) -> np.ndarray:
+    """Correlators of stacked 2x2 outcome tables, after the mass and bound checks."""
+    drift = float(np.max(np.abs(blocks.sum(axis=(-2, -1)) - 1.0)))
     if drift > _READY_MASS_ATOL:
         raise NumericalInvariantError(
             f"{what}: outcome probabilities sum to 1{drift:+.3e}; the ready "
             "position retained weight"
         )
-
-
-def _correlator(block: np.ndarray, values) -> float:
     v = np.asarray(values, dtype=float)
-    e = float(np.sum(np.outer(v, v) * block))
-    if abs(e) > 1.0 + _CORRELATOR_BOUND_ATOL:
-        raise NumericalInvariantError(f"correlator {e!r} outside [-1, 1]")
+    e = np.sum(np.outer(v, v) * blocks, axis=(-2, -1))
+    worst = float(e[np.argmax(np.abs(e))])
+    if abs(worst) > 1.0 + _CORRELATOR_BOUND_ATOL:
+        raise NumericalInvariantError(f"correlator {worst!r} outside [-1, 1]")
     return e
 
 
-def _chi_ensemble(
-    scenario: BellScenario, u1_matrix: np.ndarray, subsystem
-) -> InternalStateEnsemble:
+def _device_couplings(thetas) -> np.ndarray:
+    """Stacked coupling matrices on (particle, pointer) of angled devices.
+
+    Runs the orthonormality check of ``MeasurementDevice`` on every basis
+    and the unitarity check of ``LocalOperator`` on every coupling.
+    """
+    bases = spin_basis(thetas)
+    _check_basis(bases)
+    couplings = _coupling_matrix(bases, _POINTERS, _READY, _POINTER_DIM)
+    _check_unitary(couplings)
+    return couplings
+
+
+def _evolve(state: np.ndarray, couplings, supports) -> np.ndarray:
+    """Apply stacked couplings in order, normalizing after each like ``apply``."""
+    for u, support in zip(couplings, supports):
+        state = _apply_matrices(u, state, support.axes)
+        flat = state.reshape(len(state), -1)
+        state = (flat / _checked_norms(flat)[:, None]).reshape(state.shape)
+    return state
+
+
+def _chi_vectors(a: complex, b: complex, u1: np.ndarray) -> tuple:
     """Post-interaction internal states of (first particle + its pointer).
 
     The reduced matrix of that compound is degenerate whenever |a| = |b|,
     so its eigenbasis alone does not single out the physically evolved
-    states; they are constructed directly as the coupling unitary applied
-    to (pair-basis vector, ready pointer), padded with an orthonormal
-    completion at probability zero.
+    states; they are the coupling unitary's columns at (pair-basis vector,
+    ready pointer), in descending weight, padded with an orthonormal
+    completion at probability zero.  Returns (eigenvalues, stacked vectors).
     """
-    coeffs = np.array([scenario.a, -scenario.b], dtype=complex)
-    weights = np.abs(coeffs) ** 2
+    weights = np.abs(np.array([a, -b], dtype=complex)) ** 2
     order = np.argsort(-weights, kind="stable")
-    ready = np.zeros(_POINTER_DIM)
-    ready[_READY] = 1.0
-    columns = []
-    for k in order:
-        phi = np.zeros(2, dtype=complex)
-        phi[k] = 1.0
-        columns.append(u1_matrix @ np.kron(phi, ready))
-    chi = np.stack(columns, axis=1)
-    full_basis, _, _ = np.linalg.svd(chi)
-    vectors = np.concatenate([chi, full_basis[:, chi.shape[1]:]], axis=1)
+    chi = u1[:, :, [k * _POINTER_DIM + _READY for k in order]]
+    full_basis = np.linalg.svd(chi)[0]
+    vectors = np.concatenate([chi, full_basis[:, :, chi.shape[-1]:]], axis=-1)
     eigenvalues = np.concatenate(
-        [weights[order], np.zeros(vectors.shape[1] - chi.shape[1])]
+        [weights[order], np.zeros(vectors.shape[-1] - chi.shape[-1])]
     )
-    return InternalStateEnsemble(
-        subsystem=subsystem,
-        eigenvalues=eigenvalues,
-        vectors=vectors,
-        tolerance=DEFAULT_TOLERANCE,
-        degenerate=True,
-    )
+    return eigenvalues, vectors
 
 
-def run_bell(scenario: BellScenario) -> BellResult:
-    """Prepare, couple the devices, and collect all outcome statistics."""
+def _run_batch(scenarios) -> list:
+    """Results of every scenario, in order, from one stacked computation.
+
+    The scenarios share the pair, ``include_m3`` and the outcome values, so
+    the prepared state, and the z-recorded state of the hidden run, are
+    built once.  The angled devices' couplings are stacked over a leading
+    axis with one entry per scenario; reductions go through one batched
+    ``eigh``, and each of the three outcome tables is one contraction over
+    the stack.  Every check that the single-object path makes runs on every
+    scenario, and each result is built from its slices through the
+    containers' own constructors.
+    """
+    first = scenarios[0]
+    shared = (first.a, first.b, first.include_m3, first.outcome_values)
+    if any((s.a, s.b, s.include_m3, s.outcome_values) != shared for s in scenarios):
+        raise ValidationError(
+            "a batch of runs must share a, b, include_m3 and outcome_values"
+        )
+    n = len(scenarios)
     subsystems = [
         (PARTICLE_1, 2),
         (DEVICE_1, _POINTER_DIM),
         (PARTICLE_2, 2),
         (DEVICE_2, _POINTER_DIM),
     ]
-    if scenario.include_m3:
+    if first.include_m3:
         subsystems.append((DEVICE_3, _POINTER_DIM))
     comp = CompositeSystem(subsystems)
-    ready = dict.fromkeys((DEVICE_1, DEVICE_2, DEVICE_3), _READY)
-    psi0 = build_bell_state(scenario.a, scenario.b, comp, ready)
-
-    d1 = MeasurementDevice.from_basis(
-        DEVICE_1, spin_basis(scenario.theta1), _POINTER_DIM, _READY
-    )
-    d2 = MeasurementDevice.from_basis(
-        DEVICE_2, spin_basis(scenario.theta2), _POINTER_DIM, _READY
-    )
-    u1 = build_measurement_unitary(d1, comp.subset([PARTICLE_1]))
-    u2 = build_measurement_unitary(d2, comp.subset([PARTICLE_2]))
-
     m1 = comp.subset([DEVICE_1])
     m2 = comp.subset([DEVICE_2])
     p1m1 = comp.subset([PARTICLE_1, DEVICE_1])
+    p2m2 = comp.subset([PARTICLE_2, DEVICE_2])
+    ready = dict.fromkeys((DEVICE_1, DEVICE_2, DEVICE_3), _READY)
+    psi0 = build_bell_state(first.a, first.b, comp, ready)
 
-    psi_q = apply(u2, apply(u1, psi0))
-    quantum_joint = joint_probability((m1, m2), psi_q)
-    idx1 = _outcome_indices(quantum_joint.ensembles[0], d1.pointers)
-    idx2 = _outcome_indices(quantum_joint.ensembles[1], d2.pointers)
-    quantum_table = quantum_joint.table[np.ix_(idx1, idx2)]
-    _check_outcome_mass(quantum_table, "proper run")
-    values = scenario.outcome_values
-    e_quantum = _correlator(quantum_table, values)
-    marginal1 = quantum_table.sum(axis=1)
-    marginal2 = quantum_table.sum(axis=0)
-
-    chi_ens = _chi_ensemble(scenario, u1.matrix, p1m1)
-    quasi = formal_joint((p1m1, m1, m2), psi_q, bases=[chi_ens, None, None])
-    qidx1 = _outcome_indices(quasi.ensembles[1], d1.pointers)
-    qidx2 = _outcome_indices(quasi.ensembles[2], d2.pointers)
-    quasi_table = quasi.table[np.ix_((0, 1), qidx1, qidx2)]
-
-    hidden_joint = None
-    hidden_table = None
-    e_hidden = None
-    if scenario.include_m3:
-        d3 = MeasurementDevice.from_basis(
-            DEVICE_3, np.eye(2, dtype=complex), _POINTER_DIM, _READY
-        )
-        u3 = build_measurement_unitary(d3, comp.subset([PARTICLE_1]))
+    # both supports list the particle before its pointer, the couplings' order
+    u1 = _device_couplings([s.theta1 for s in scenarios])
+    u2 = _device_couplings([s.theta2 for s in scenarios])
+    psi_q = _evolve(psi0.tensor_view()[None], (u1, u2), (p1m1, p2m2))
+    reduced = [
+        _pure_reductions(psi_q.reshape(n, -1), comp.dims, m.axes) for m in (m1, m2)
+    ]
+    if first.include_m3:
         m3 = comp.subset([DEVICE_3])
-        psi_h = apply(u2, apply(u1, apply(u3, psi0)))
-        recorded = joint_probability((m3, m1, m2), psi_h)
-        hidden_joint = JointDistribution(
-            systems=(m1, m2),
-            ensembles=(recorded.ensembles[1], recorded.ensembles[2]),
-            table=recorded.table.sum(axis=0),
+        d3 = MeasurementDevice.from_basis(
+            DEVICE_3, np.eye(2, dtype=complex), _POINTER_DIM, _READY, _POINTERS
         )
-        hidx1 = _outcome_indices(hidden_joint.ensembles[0], d1.pointers)
-        hidx2 = _outcome_indices(hidden_joint.ensembles[1], d2.pointers)
-        hidden_table = hidden_joint.table[np.ix_(hidx1, hidx2)]
-        _check_outcome_mass(hidden_table, "recorded run")
-        e_hidden = _correlator(hidden_table, values)
+        psi3 = apply(build_measurement_unitary(d3, comp.subset([PARTICLE_1])), psi0)
+        psi_h = _evolve(psi3.tensor_view()[None], (u1, u2), (p1m1, p2m2))
+        reduced += [
+            _pure_reductions(psi_h.reshape(n, -1), comp.dims, m.axes)
+            for m in (m3, m1, m2)
+        ]
+    try:
+        rhos = np.concatenate(reduced)
+        _check_density(rhos)
+        w, v, degenerate = _canonical_eigh(rhos, DEFAULT_TOLERANCE)
+        _check_eigen_floor(w)
+    except ValidationError as exc:
+        raise NumericalInvariantError(
+            f"partial trace produced an invalid matrix: {exc}"
+        ) from exc
+    # axis 0: quantum M1, M2, then hidden M3, M1, M2; axis 1: scenario
+    w = w.reshape(len(reduced), n, _POINTER_DIM)
+    v = v.reshape(len(reduced), n, _POINTER_DIM, _POINTER_DIM)
+    degenerate = degenerate.reshape(len(reduced), n)
+    indices = _outcome_indices(v)
+    pointer_sets = (m1, m2, m3, m1, m2) if first.include_m3 else (m1, m2)
 
-    return BellResult(
-        scenario=scenario,
-        marginal1=_lock(marginal1),
-        marginal2=_lock(marginal2),
-        quantum_joint=quantum_joint,
-        quantum_table=_lock(quantum_table.copy()),
-        quasi=quasi,
-        quasi_table=_lock(quasi_table.copy()),
-        E_quantum=e_quantum,
-        m1_outcome_indices=idx1,
-        m2_outcome_indices=idx2,
-        hidden_joint=hidden_joint,
-        hidden_table=_lock(hidden_table.copy()) if hidden_table is not None else None,
-        E_hidden=e_hidden,
+    quantum_raw = _real_table(_projector_product_table(psi_q, (m1, m2), v[:2]))
+    chi_weights, chi_vectors = _chi_vectors(first.a, first.b, u1)
+    quasi_raw = _projector_product_table(psi_q, (p1m1, m1, m2), (chi_vectors, v[0], v[1]))
+    if first.include_m3:
+        hidden_raw = _real_table(_projector_product_table(psi_h, (m3, m1, m2), v[2:]))
+    quantum, quasi, hidden = [], [], []
+    for i in range(n):
+        ens = [
+            _ensemble(m, w[k, i], v[k, i], DEFAULT_TOLERANCE, bool(degenerate[k, i]))
+            for k, m in enumerate(pointer_sets)
+        ]
+        chi = InternalStateEnsemble(
+            p1m1, chi_weights, chi_vectors[i], DEFAULT_TOLERANCE, degenerate=True
+        )
+        quantum.append(JointDistribution((m1, m2), ens[:2], quantum_raw[i]))
+        quasi.append(QuasiDistribution((p1m1, m1, m2), (chi, *ens[:2]), quasi_raw[i]))
+        if first.include_m3:
+            recorded = JointDistribution((m3, m1, m2), ens[2:], hidden_raw[i])
+            hidden.append(JointDistribution((m1, m2), ens[3:], recorded.table.sum(axis=0)))
+
+    values = first.outcome_values
+    quantum_tables = _outcome_blocks(
+        np.stack([j.table for j in quantum]), indices[0], indices[1]
     )
+    e_quantum = _checked_correlators(quantum_tables, values, "proper run")
+    marginals1 = quantum_tables.sum(axis=-1)
+    marginals2 = quantum_tables.sum(axis=-2)
+    # compound axis last while the pointer axes are indexed, then first again
+    quasi_tables = np.moveaxis(
+        _outcome_blocks(np.moveaxis(quasi_raw[:, :2], 1, -1), indices[0], indices[1]),
+        -1,
+        1,
+    )
+    if hidden:
+        hidden_tables = _outcome_blocks(
+            np.stack([j.table for j in hidden]), indices[3], indices[4]
+        )
+        e_hidden = _checked_correlators(hidden_tables, values, "recorded run")
+    return [
+        BellResult(
+            scenario=scenarios[i],
+            marginal1=_lock(marginals1[i]),
+            marginal2=_lock(marginals2[i]),
+            quantum_joint=quantum[i],
+            quantum_table=_lock(quantum_tables[i]),
+            quasi=quasi[i],
+            quasi_table=_lock(quasi_tables[i]),
+            E_quantum=float(e_quantum[i]),
+            m1_outcome_indices=tuple(indices[0, i].tolist()),
+            m2_outcome_indices=tuple(indices[1, i].tolist()),
+            hidden_joint=hidden[i] if hidden else None,
+            hidden_table=_lock(hidden_tables[i]) if hidden else None,
+            E_hidden=float(e_hidden[i]) if hidden else None,
+        )
+        for i in range(n)
+    ]
+
+
+def run_bell(scenario: BellScenario) -> BellResult:
+    """Prepare, couple the devices, and collect all outcome statistics."""
+    return _run_batch([scenario])[0]
 
 
 def _setting_grid(
@@ -370,21 +456,24 @@ def _setting_grid(
     include_m3: bool,
     outcome_values=(1.0, -1.0),
 ) -> list:
-    """``run_bell`` over thetas1 x thetas2, once per distinct setting.
+    """Runs over thetas1 x thetas2, once per distinct setting.
 
     Returns rows of results, ``grid[i][j]`` at (thetas1[i], thetas2[j]).
     Settings are keyed by their bit patterns, so -0.0 keeps its own run and
-    the sign it prints.  Runs go through the module-level ``run_bell`` name,
-    so a call tracer or test that rebinds it sees every run.
+    the sign it prints.  The distinct settings go to the module-level
+    ``_run_batch`` name in batches of at most ``_BATCH_LIMIT``, which bounds
+    the stacked transients; a call tracer or test that rebinds that name
+    sees every batch.
     """
-    runs: dict = {}
-    grid = []
+    slots: dict = {}
+    scenarios = []
+    cells = []
     for t1 in thetas1:
-        row = []
         for t2 in thetas2:
             key = (float(t1).hex(), float(t2).hex())
-            if key not in runs:
-                runs[key] = run_bell(
+            if key not in slots:
+                slots[key] = len(scenarios)
+                scenarios.append(
                     BellScenario(
                         a,
                         b,
@@ -394,9 +483,15 @@ def _setting_grid(
                         outcome_values=outcome_values,
                     )
                 )
-            row.append(runs[key])
-        grid.append(row)
-    return grid
+            cells.append(slots[key])
+    results = []
+    for start in range(0, len(scenarios), _BATCH_LIMIT):
+        results.extend(_run_batch(scenarios[start:start + _BATCH_LIMIT]))
+    width = len(thetas2)
+    return [
+        [results[k] for k in cells[row:row + width]]
+        for row in range(0, len(cells), width)
+    ]
 
 
 def _grid_chsh(grid, model: str, i: int, j: int) -> float:

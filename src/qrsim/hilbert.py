@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -74,11 +75,11 @@ class CompositeSystem:
             )
         object.__setattr__(self, "subsystems", pairs)
 
-    @property
+    @cached_property
     def labels(self) -> tuple:
         return tuple(label for label, _ in self.subsystems)
 
-    @property
+    @cached_property
     def dims(self) -> tuple:
         return tuple(dim for _, dim in self.subsystems)
 
@@ -135,20 +136,20 @@ class SubsystemSet:
         object.__setattr__(obj, "members", frozenset())
         return obj
 
-    @property
+    @cached_property
     def labels(self) -> tuple:
         """Member labels in the parent's declaration order."""
         return tuple(l for l in self.parent.labels if l in self.members)
 
-    @property
+    @cached_property
     def dims(self) -> tuple:
         return tuple(self.parent.dim_of(l) for l in self.labels)
 
-    @property
+    @cached_property
     def joint_dim(self) -> int:
         return math.prod(self.dims) if self.members else 1
 
-    @property
+    @cached_property
     def axes(self) -> tuple:
         return tuple(self.parent.axis(l) for l in self.labels)
 
@@ -233,22 +234,33 @@ class DensityMatrix:
             raise ValidationError(
                 f"density matrix shape {mat.shape} does not match joint dimension {d}"
             )
-        if not np.all(np.isfinite(mat)):
-            raise ValidationError("density matrix entries must be finite")
-        herm = float(np.max(np.abs(mat - mat.conj().T))) if d else 0.0
-        if herm > HERMITIAN_ATOL:
-            raise ValidationError(
-                f"matrix is not Hermitian: max deviation {herm:.3e} > {HERMITIAN_ATOL}"
-            )
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValidationError(f"trace {tr!r} is not 1 within {TRACE_ATOL}")
-        lo = float(np.min(np.linalg.eigvalsh(mat)))
-        if lo < EIGEN_FLOOR:
-            raise ValidationError(
-                f"matrix has eigenvalue {lo:.3e} below the floor {EIGEN_FLOOR}"
-            )
+        _check_density(mat)
+        _check_eigen_floor(np.linalg.eigvalsh(mat))
         object.__setattr__(self, "matrix", _lock(mat.copy()))
+
+
+def _check_density(mats: np.ndarray) -> None:
+    """Finite, Hermitian and unit-trace checks on one matrix or a stack of them."""
+    if not np.all(np.isfinite(mats)):
+        raise ValidationError("density matrix entries must be finite")
+    herm = float(np.max(np.abs(mats - mats.conj().swapaxes(-1, -2)))) if mats.size else 0.0
+    if herm > HERMITIAN_ATOL:
+        raise ValidationError(
+            f"matrix is not Hermitian: max deviation {herm:.3e} > {HERMITIAN_ATOL}"
+        )
+    traces = np.trace(mats, axis1=-2, axis2=-1).reshape(-1)
+    tr = complex(traces[np.argmax(np.abs(traces - 1.0))])
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise ValidationError(f"trace {tr!r} is not 1 within {TRACE_ATOL}")
+
+
+def _check_eigen_floor(eigenvalues: np.ndarray) -> None:
+    """Positive-semidefiniteness check on the eigenvalues of one or more matrices."""
+    lo = float(np.min(eigenvalues))
+    if lo < EIGEN_FLOOR:
+        raise ValidationError(
+            f"matrix has eigenvalue {lo:.3e} below the floor {EIGEN_FLOOR}"
+        )
 
 
 _OPERATOR_KINDS = ("unitary", "projector", "general")
@@ -276,11 +288,7 @@ class LocalOperator:
         if not np.all(np.isfinite(mat)):
             raise ValidationError("operator entries must be finite")
         if self.kind == "unitary":
-            dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(d))))
-            if dev > UNITARY_ATOL:
-                raise ValidationError(
-                    f"matrix is not unitary: max deviation {dev:.3e} > {UNITARY_ATOL}"
-                )
+            _check_unitary(mat)
         elif self.kind == "projector":
             dev_h = float(np.max(np.abs(mat - mat.conj().T)))
             dev_i = float(np.max(np.abs(mat @ mat - mat)))
@@ -290,6 +298,20 @@ class LocalOperator:
                     f"{max(dev_h, dev_i):.3e} > {UNITARY_ATOL}"
                 )
         object.__setattr__(self, "matrix", _lock(mat.copy()))
+
+
+def _unitary_deviation(mats: np.ndarray) -> float:
+    """Largest entry of |M^H M - I| over one square matrix or a stack of them."""
+    d = mats.shape[-1]
+    return float(np.max(np.abs(mats.conj().swapaxes(-1, -2) @ mats - np.eye(d))))
+
+
+def _check_unitary(mats: np.ndarray) -> None:
+    dev = _unitary_deviation(mats)
+    if dev > UNITARY_ATOL:
+        raise ValidationError(
+            f"matrix is not unitary: max deviation {dev:.3e} > {UNITARY_ATOL}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +386,53 @@ def apply(op: LocalOperator, state: PureState) -> PureState:
         if system.dim_of(lbl) != op.support.parent.dim_of(lbl):
             raise ValidationError(f"dimension mismatch for {lbl!r}")
         positions.append(system.axis(lbl))
-    sup_dims = tuple(system.dims[p] for p in positions)
-    m = len(positions)
-    op_t = op.matrix.reshape(sup_dims + sup_dims)
-    res = np.tensordot(op_t, state.tensor_view(), axes=(tuple(range(m, 2 * m)), tuple(positions)))
-    res = np.moveaxis(res, tuple(range(m)), tuple(positions))
-    out = res.reshape(-1)
-    drift = abs(float(np.linalg.norm(out)) - 1.0)
+    out = _apply_matrices(op.matrix, state.tensor_view()[None], positions).reshape(-1)
+    _checked_norms(out)
+    return PureState(system, out)
+
+
+def _apply_matrices(matrices: np.ndarray, tensors: np.ndarray, positions) -> np.ndarray:
+    """Apply square operators to the ``positions`` subsystem axes of stacked states.
+
+    ``tensors`` has a leading stack axis, then one axis per subsystem;
+    ``matrices`` is one operator in the support's factor order, or a stack
+    of them that broadcasts against the state stack.
+    """
+    axes = [1 + p for p in positions]
+    front = range(1, 1 + len(axes))
+    moved = np.moveaxis(tensors, axes, front)
+    out = matrices @ moved.reshape(moved.shape[0], matrices.shape[-1], -1)
+    return np.moveaxis(out.reshape(out.shape[:1] + moved.shape[1:]), front, axes)
+
+
+def _checked_norms(amps: np.ndarray) -> np.ndarray:
+    """Norms along the last axis, after checking that evolution kept them at 1.
+
+    Each norm equals ``np.linalg.norm`` of its vector bit for bit, so a
+    stacked run normalizes exactly as one ``PureState`` does.
+    """
+    norms = np.sqrt(np.vecdot(amps.real, amps.real) + np.vecdot(amps.imag, amps.imag))
+    drift = float(np.max(np.abs(norms - 1.0)))
     if drift > 1e-12:
         raise NumericalInvariantError(f"unitary application drifted the norm by {drift:.3e}")
-    return PureState(system, out)
+    return norms
+
+
+def _pure_reductions(amps: np.ndarray, dims, keep_axes) -> np.ndarray:
+    """Reduced matrices over ``keep_axes`` of state vectors on the last axis of ``amps``.
+
+    Leading axes of ``amps`` stack independent states; each reduction is
+    M M^H with M the state reshaped to (kept, traced) indices.
+    """
+    lead = amps.ndim - 1
+    keep_axes = list(keep_axes)
+    traced_axes = [i for i in range(len(dims)) if i not in keep_axes]
+    dk = math.prod(dims[i] for i in keep_axes)
+    dt = math.prod(dims[i] for i in traced_axes) if traced_axes else 1
+    order = list(range(lead)) + [lead + i for i in keep_axes + traced_axes]
+    t = amps.reshape(amps.shape[:lead] + tuple(dims)).transpose(order)
+    m = t.reshape(amps.shape[:lead] + (dk, dt))
+    return m @ m.conj().swapaxes(-1, -2)
 
 
 def partial_trace(state: Union[PureState, DensityMatrix], keep) -> DensityMatrix:
@@ -386,14 +445,7 @@ def partial_trace(state: Union[PureState, DensityMatrix], keep) -> DensityMatrix
     if isinstance(state, PureState):
         parent = state.system
         keep_set = as_subsystem_set(keep, parent)
-        dims = parent.dims
-        n = len(dims)
-        keep_axes = list(keep_set.axes)
-        traced_axes = [i for i in range(n) if i not in keep_axes]
-        dk = math.prod(dims[i] for i in keep_axes)
-        dt = math.prod(dims[i] for i in traced_axes) if traced_axes else 1
-        m = state.tensor_view().transpose(keep_axes + traced_axes).reshape(dk, dt)
-        rho = m @ m.conj().T
+        rho = _pure_reductions(state.amplitudes, parent.dims, keep_set.axes)
         out_system = SubsystemSet(parent, keep_set.members)
     elif isinstance(state, DensityMatrix):
         source = state.system

@@ -24,6 +24,7 @@ from .hilbert import (
     SubsystemSet,
     UNITARY_ATOL,
     _lock,
+    _unitary_deviation,
     permute_operator_factors,
 )
 from .schmidt import InternalStateEnsemble
@@ -73,13 +74,7 @@ class MeasurementDevice:
                 f"{len(entries)} basis vectors cannot be complete on a "
                 f"{d}-dimensional system"
             )
-        basis = np.stack([vec for vec, _ in entries], axis=1)
-        gram_dev = float(np.max(np.abs(basis.conj().T @ basis - np.eye(d))))
-        if gram_dev > UNITARY_ATOL:
-            raise ValidationError(
-                f"measured basis is not orthonormal: max Gram deviation "
-                f"{gram_dev:.3e} > {UNITARY_ATOL}"
-            )
+        _check_basis(np.stack([vec for vec, _ in entries], axis=1))
         pointer_dim = self.pointer_dim
         if pointer_dim is None:
             pointer_dim = d + 1
@@ -156,6 +151,37 @@ class MeasurementDevice:
         )
 
 
+def _check_basis(bases: np.ndarray) -> None:
+    """Orthonormality check on one measured basis (columns) or a stack of them."""
+    gram_dev = _unitary_deviation(bases)
+    if gram_dev > UNITARY_ATOL:
+        raise ValidationError(
+            f"measured basis is not orthonormal: max Gram deviation "
+            f"{gram_dev:.3e} > {UNITARY_ATOL}"
+        )
+
+
+def _coupling_matrix(bases: np.ndarray, pointers, ready_index: int, pointer_dim: int):
+    """Coupling matrix on (measured system, pointer), in that factor order.
+
+    ``bases`` is one measured basis (columns) or a stack of them.  Outcome k
+    shifts the pointer cyclically by s_k = pointers[k] - ready_index, so its
+    projector |b_k><b_k| fills the slots u[:, (q + s_k) % p, :, q] of the
+    (d, p, d, p) tensor.  Slots are accumulated into zeros, which gives the
+    same bits as summing kron(|b_k><b_k|, shift_k) over k.
+    """
+    d = bases.shape[-1]
+    p = pointer_dim
+    u = np.zeros(bases.shape[:-2] + (d, p, d, p), dtype=complex)
+    q = np.arange(p)
+    for k, pointer in enumerate(pointers):
+        vec = bases[..., :, k]
+        u[..., :, (q + pointer - ready_index) % p, :, q] += (
+            vec[..., :, None] * vec[..., None, :].conj()
+        )
+    return u.reshape(bases.shape[:-2] + (d * p, d * p))
+
+
 def build_measurement_unitary(
     device: MeasurementDevice, target: SubsystemSet
 ) -> LocalOperator:
@@ -188,12 +214,9 @@ def build_measurement_unitary(
             f"measured-basis dimension {device.basis.shape[0]} does not match "
             f"target dimension {d}"
         )
-    eye_p = np.eye(device.pointer_dim)
-    u = np.zeros((d * device.pointer_dim, d * device.pointer_dim), dtype=complex)
-    for vec, pointer in device.outcome_map:
-        shift = (pointer - device.ready_index) % device.pointer_dim
-        block = np.roll(eye_p, shift, axis=0)
-        u += np.kron(np.outer(vec, vec.conj()), block)
+    u = _coupling_matrix(
+        device.basis, device.pointers, device.ready_index, device.pointer_dim
+    )
     built_order = list(target.labels) + [device.label]
     support = SubsystemSet(parent, target.members | {device.label})
     canonical = support.labels
@@ -203,16 +226,22 @@ def build_measurement_unitary(
     return LocalOperator(support=support, matrix=matrix, kind="unitary")
 
 
-def spin_basis(theta: float) -> np.ndarray:
+def spin_basis(theta) -> np.ndarray:
     """Qubit basis at angle theta from the z axis (half-angle rotation).
 
-    Columns: xi1 = (cos t/2, sin t/2), xi2 = (-sin t/2, cos t/2).
+    Columns: xi1 = (cos t/2, sin t/2), xi2 = (-sin t/2, cos t/2).  An array
+    of angles gives a stack of bases, one per angle.
     """
-    theta = float(theta)
-    if not np.isfinite(theta):
+    theta = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(theta)):
         raise ValidationError("spin basis angle must be finite")
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    basis = np.empty(theta.shape + (2, 2), dtype=complex)
+    basis[..., 0, 0] = c
+    basis[..., 0, 1] = -s
+    basis[..., 1, 0] = s
+    basis[..., 1, 1] = c
+    return basis
 
 
 def sample_outcome_indices(

@@ -104,7 +104,7 @@ class JointDistribution:
             )
         for i, ens in enumerate(ensembles):
             marg = table.sum(axis=tuple(a for a in range(table.ndim) if a != i))
-            dev = float(np.max(np.abs(marg - ens.eigenvalues)))
+            dev = float(np.abs(marg - ens.eigenvalues).max())
             if dev > _TABLE_ATOL:
                 raise NumericalInvariantError(
                     f"axis {i} marginal deviates from the ensemble probabilities by {dev:.3e}"
@@ -230,8 +230,13 @@ def state_of(target, reference, psi_ref: PureState) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 # projector-product kernel
 
-def _projector_product_table(psi: PureState, systems, ensembles) -> np.ndarray:
+def _projector_product_table(ket: np.ndarray, systems, vectors) -> np.ndarray:
     """Entries <psi| P_1 ... P_n |psi> over all ensemble index combinations.
+
+    ``ket`` is the state tensor, one axis per subsystem of the systems'
+    parent; ``vectors[i]`` holds system i's ensemble vectors as columns.
+    Both may carry one leading batch axis (every operand or none), which
+    the table then carries too: a stack of runs is one contraction.
 
     The whole table is one einsum network.  Reading from the ket, each
     projector from P_n back to P_1 contributes the conjugated ensemble
@@ -246,24 +251,36 @@ def _projector_product_table(psi: PureState, systems, ensembles) -> np.ndarray:
     loop is slower on overlapping chains than contracting entry by entry.
     """
     labels = iter(_EINSUM_LABELS)
-    current = [next(labels) for _ in psi.system.dims]
+    batched = ket.ndim > len(systems[0].parent.dims)
+    batch = next(labels) if batched else ""
+    current = [next(labels) for _ in systems[0].parent.dims]
     outputs = [next(labels) for _ in systems]
-    ket = psi.tensor_view()
-    terms, operands = ["".join(current)], [ket]
-    for s, ens, k in reversed(list(zip(systems, ensembles, outputs))):
-        vecs = ens.vectors.reshape(s.dims + (ens.eigenvalues.size,))
-        terms.append("".join(current[a] for a in s.axes) + k)
+    terms, operands = [batch + "".join(current)], [ket]
+    for s, vecs, k in reversed(list(zip(systems, vectors, outputs))):
+        vecs = vecs.reshape(vecs.shape[:-2] + s.dims + vecs.shape[-1:])
+        terms.append(batch + "".join(current[a] for a in s.axes) + k)
         operands.append(vecs.conj())
         for a in s.axes:
             current[a] = next(labels)
-        terms.append("".join(current[a] for a in s.axes) + k)
+        terms.append(batch + "".join(current[a] for a in s.axes) + k)
         operands.append(vecs)
-    terms.append("".join(current))
+    terms.append(batch + "".join(current))
     operands.append(ket.conj())
-    expr = ",".join(terms) + "->" + "".join(outputs)
-    sizes = [e.eigenvalues.size for e in ensembles]
-    limit = max(ket.size * max(sizes), math.prod(sizes))
+    expr = ",".join(terms) + "->" + batch + "".join(outputs)
+    sizes = [v.shape[-1] for v in vectors]
+    runs = ket.shape[0] if batched else 1
+    limit = max(ket.size * max(sizes), runs * math.prod(sizes))
     return np.einsum(expr, *operands, optimize=("greedy", limit))
+
+
+def _real_table(raw: np.ndarray) -> np.ndarray:
+    """Real part of a disjoint-system table, whose imaginary part is rounding."""
+    worst_imag = float(np.max(np.abs(raw.imag)))
+    if worst_imag > _REALNESS_ATOL:
+        raise NumericalInvariantError(
+            f"disjoint-system table has imaginary residue {worst_imag:.3e}"
+        )
+    return raw.real
 
 
 def _coerce_systems(systems, psi: PureState) -> tuple:
@@ -303,13 +320,10 @@ def joint_probability(
     ensembles = tuple(
         possible_internal_states(partial_trace(psi, s), tolerance) for s in coerced
     )
-    raw = _projector_product_table(psi, coerced, ensembles)
-    worst_imag = float(np.max(np.abs(raw.imag)))
-    if worst_imag > _REALNESS_ATOL:
-        raise NumericalInvariantError(
-            f"disjoint-system table has imaginary residue {worst_imag:.3e}"
-        )
-    return JointDistribution(systems=coerced, ensembles=ensembles, table=raw.real)
+    raw = _projector_product_table(
+        psi.tensor_view(), coerced, [e.vectors for e in ensembles]
+    )
+    return JointDistribution(systems=coerced, ensembles=ensembles, table=_real_table(raw))
 
 
 def conditional_probability(dist: JointDistribution, given) -> np.ndarray:
@@ -387,7 +401,9 @@ def formal_joint(
                 )
             ensembles.append(override)
     ensembles = tuple(ensembles)
-    table = _projector_product_table(psi, coerced, ensembles)
+    table = _projector_product_table(
+        psi.tensor_view(), coerced, [e.vectors for e in ensembles]
+    )
     return QuasiDistribution(systems=coerced, ensembles=ensembles, table=table)
 
 

@@ -44,20 +44,16 @@ def _validate_tolerance(tolerance: float) -> float:
 def _fix_phases(vectors: np.ndarray) -> tuple:
     """Rotate each column so its largest-magnitude component is real positive.
 
-    Returns the rotated copy and the unit phase divided out of each column
-    (1 for a zero column), so a caller can move that phase elsewhere.
+    ``vectors`` is one matrix of columns or a stack of them.  Returns the
+    rotated copy and the unit phase divided out of each column (1 for a
+    zero column), so a caller can move that phase elsewhere.
     """
-    out = vectors.copy()
-    phases = np.ones(out.shape[1], dtype=complex)
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        i = int(np.argmax(np.abs(col)))
-        pivot = col[i]
-        mag = abs(pivot)
-        if mag > 0.0:
-            phases[k] = pivot / mag
-            out[:, k] = col * phases[k].conjugate()
-    return out, phases
+    rows = np.argmax(np.abs(vectors), axis=-2)
+    pivot = np.take_along_axis(vectors, rows[..., None, :], axis=-2)[..., 0, :]
+    # hypot rounds as abs() of one complex number does; np.abs of an array may not
+    mag = np.hypot(pivot.real, pivot.imag)
+    phases = np.divide(pivot, mag, out=np.ones_like(pivot), where=mag > 0.0)
+    return vectors * phases.conj()[..., None, :], phases
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,16 +76,16 @@ class InternalStateEnsemble:
                 f"vector matrix shape {vecs.shape} does not match "
                 f"(dimension {d}, {vals.size} states)"
             )
-        if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
+        if (vals < -1e-12).any() or (vals > 1.0 + 1e-12).any():
             raise ValidationError("eigenvalues must lie in [0, 1]")
-        if np.any(np.diff(vals) > 1e-12):
+        if (vals[1:] - vals[:-1] > 1e-12).any():
             raise ValidationError("eigenvalues must be in descending order")
         if abs(float(vals.sum()) - 1.0) > _ENSEMBLE_ATOL:
             raise ValidationError(
                 f"eigenvalues sum to {float(vals.sum())!r}, not 1 within {_ENSEMBLE_ATOL}"
             )
         gram = vecs.conj().T @ vecs
-        dev = float(np.max(np.abs(gram - np.eye(vals.size))))
+        dev = float(np.abs(gram - np.eye(vals.size)).max())
         if dev > _ENSEMBLE_ATOL:
             raise ValidationError(
                 f"state vectors are not orthonormal: deviation {dev:.3e}"
@@ -123,36 +119,56 @@ def possible_internal_states(
     tolerance = _validate_tolerance(tolerance)
     if not isinstance(rho, DensityMatrix):
         raise ValidationError("possible_internal_states expects a DensityMatrix")
-    w, v = np.linalg.eigh(rho.matrix)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    d = w.size
+    w, v, degenerate = _canonical_eigh(rho.matrix[None], tolerance)
+    return _ensemble(rho.system, w[0], v[0], tolerance, bool(degenerate[0]))
 
-    clusters = []
-    start = 0
-    for i in range(1, d):
-        if w[i - 1] - w[i] >= tolerance:
-            clusters.append((start, i))
-            start = i
-    clusters.append((start, d))
 
-    degenerate = any(hi - lo > 1 for lo, hi in clusters)
-    if degenerate:
-        perturbation = np.arange(1, rho.system.joint_dim + 1, dtype=float)
-        v = v.copy()
-        for lo, hi in clusters:
-            if hi - lo < 2:
-                continue
-            block = v[:, lo:hi]
-            projected = block.conj().T @ (perturbation[:, None] * block)
-            _, rot = np.linalg.eigh(projected)
-            v[:, lo:hi] = block @ rot
+def _canonical_eigh(matrices: np.ndarray, tolerance: float) -> tuple:
+    """Canonical eigendecompositions of a stack of Hermitian matrices.
 
+    Returns (w, v, degenerate): eigenvalues sorted descending, unclipped;
+    eigenvector columns aligned with them, each degenerate cluster rotated
+    to the perturbation basis and every phase fixed (module docstring); and
+    per matrix whether it has a cluster.  Matrices with clusters are
+    canonicalized together, one group per cluster layout.
+    """
+    w, v = np.linalg.eigh(matrices)
+    order = np.argsort(-w, axis=-1, kind="stable")
+    w = np.take_along_axis(w, order, axis=-1)
+    v = np.take_along_axis(v, order[:, None, :], axis=-1)
+    # adjacent eigenvalues closer than the tolerance share a cluster
+    joined = w[:, :-1] - w[:, 1:] < tolerance
+    degenerate = joined.any(axis=-1)
+    if degenerate.any():
+        d = w.shape[-1]
+        perturbation = np.arange(1, d + 1, dtype=float)
+        groups: dict = {}
+        for n in np.flatnonzero(degenerate):
+            groups.setdefault(joined[n].tobytes(), []).append(n)
+        for group in groups.values():
+            bounds = [0, *(np.flatnonzero(~joined[group[0]]) + 1), d]
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                if hi - lo < 2:
+                    continue
+                block = v[group, :, lo:hi]
+                projected = block.conj().swapaxes(-1, -2) @ (perturbation[:, None] * block)
+                _, rot = np.linalg.eigh(projected)
+                v[group, :, lo:hi] = block @ rot
     v, _ = _fix_phases(v)
+    return w, v, degenerate
+
+
+def _ensemble(
+    subsystem: SubsystemSet,
+    w: np.ndarray,
+    v: np.ndarray,
+    tolerance: float,
+    degenerate: bool,
+) -> InternalStateEnsemble:
+    """The ensemble of one canonical eigendecomposition (see ``_canonical_eigh``)."""
     try:
         return InternalStateEnsemble(
-            subsystem=rho.system,
+            subsystem=subsystem,
             eigenvalues=np.clip(w, 0.0, 1.0),
             vectors=v,
             tolerance=tolerance,

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import conftest as oracle
+import qrsim.bell
 from qrsim import (
     BellScenario,
     CompositeSystem,
@@ -171,6 +172,76 @@ class TestSingletStructure:
             BellScenario(INV_SQRT2, INV_SQRT2, math.pi / 2, math.pi / 4, include_m3=False)
         )
         assert res.quasi.min_real < -1e-6
+
+
+class TestBatchedGrid:
+    # theta = 0 row and column, a repeated angle, and a plain cell
+    THETAS1 = (0.0, 0.7, 2.9)
+    THETAS2 = (0.0, 0.7, 4.4)
+    VALUES = (0.5, -1.0)
+
+    @staticmethod
+    def degenerate_flags(result):
+        joints = [result.quantum_joint, result.quasi]
+        if result.hidden_joint is not None:
+            joints.append(result.hidden_joint)
+        return [e.degenerate for j in joints for e in j.ensembles]
+
+    @pytest.mark.parametrize("a,b", [(INV_SQRT2, INV_SQRT2), (0.6, 0.8), (0.6, 0.8j)])
+    @pytest.mark.parametrize("include_m3", [True, False])
+    def test_cells_equal_single_runs_and_closed_forms(self, a, b, include_m3):
+        grid = qrsim.bell._setting_grid(
+            a, b, self.THETAS1, self.THETAS2, include_m3, self.VALUES
+        )
+        v = np.outer(self.VALUES, self.VALUES)
+        for i, t1 in enumerate(self.THETAS1):
+            for j, t2 in enumerate(self.THETAS2):
+                cell = grid[i][j]
+                alone = run_bell(BellScenario(a, b, t1, t2, include_m3, self.VALUES))
+                assert cell.scenario == alone.scenario
+                for name in ("quantum_table", "quasi_table", "marginal1", "marginal2"):
+                    assert_allclose(getattr(cell, name), getattr(alone, name), atol=1e-12)
+                assert_allclose(cell.quantum_joint.table, alone.quantum_joint.table, atol=1e-12)
+                assert_allclose(cell.quasi.table, alone.quasi.table, atol=1e-12)
+                assert cell.E_quantum == pytest.approx(alone.E_quantum, abs=1e-12)
+                assert cell.quasi.max_imag == pytest.approx(alone.quasi.max_imag, abs=1e-12)
+                assert cell.quasi.min_real == pytest.approx(alone.quasi.min_real, abs=1e-12)
+                assert cell.m1_outcome_indices == alone.m1_outcome_indices
+                assert cell.m2_outcome_indices == alone.m2_outcome_indices
+                assert self.degenerate_flags(cell) == self.degenerate_flags(alone)
+
+                quantum = oracle.quantum_table(a, b, t1, t2)
+                assert_allclose(cell.quantum_table, quantum, atol=1e-12)
+                assert_allclose(cell.quasi_table, oracle.quasi_table(a, b, t1, t2), atol=1e-12)
+                assert cell.E_quantum == pytest.approx(float(np.sum(v * quantum)), abs=1e-12)
+                if include_m3:
+                    hidden = oracle.hidden_table(a, b, t1, t2)
+                    assert_allclose(cell.hidden_table, alone.hidden_table, atol=1e-12)
+                    assert_allclose(cell.hidden_joint.table, alone.hidden_joint.table, atol=1e-12)
+                    assert cell.E_hidden == pytest.approx(alone.E_hidden, abs=1e-12)
+                    assert_allclose(cell.hidden_table, hidden, atol=1e-12)
+                    assert cell.E_hidden == pytest.approx(float(np.sum(v * hidden)), abs=1e-12)
+                else:
+                    assert cell.hidden_joint is None and alone.hidden_joint is None
+
+    def test_settings_reach_the_engine_in_bounded_batches(self, monkeypatch):
+        sizes = []
+        original = qrsim.bell._run_batch
+
+        def counting(scenarios):
+            sizes.append(len(scenarios))
+            return original(scenarios)
+
+        monkeypatch.setattr(qrsim.bell, "_run_batch", counting)
+        _, rows = sweep(0.6, 0.8, points=33)
+        assert len(rows) == 33 * 33
+        assert len(sizes) == 2 and sum(sizes) == 33 * 33
+        assert max(sizes) <= qrsim.bell._BATCH_LIMIT
+
+    def test_a_batch_shares_its_pair(self):
+        scenarios = [BellScenario(0.6, 0.8, 0.1, 0.2), BellScenario(0.8, 0.6, 0.1, 0.2)]
+        with pytest.raises(ValidationError, match="share"):
+            qrsim.bell._run_batch(scenarios)
 
 
 # ---------------------------------------------------------------------------

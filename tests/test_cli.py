@@ -48,9 +48,9 @@ def installed_distribution():
         return None
 
 
-def replace_run_bell(monkeypatch, replacement):
-    """Rebind every ``qrsim`` module name bound to ``run_bell``, as a call tracer does."""
-    original = qrsim.bell.run_bell
+def replace_bell_engine(monkeypatch, replacement):
+    """Rebind every ``qrsim`` module name bound to the batched Bell engine, as a call tracer does."""
+    original = qrsim.bell._run_batch
     for name, module in list(sys.modules.items()):
         if name == "qrsim" or name.startswith("qrsim."):
             for attr, value in list(vars(module).items()):
@@ -61,23 +61,23 @@ def replace_run_bell(monkeypatch, replacement):
 
 @pytest.fixture
 def counted_runs(monkeypatch):
-    """Settings of every ``run_bell`` call a call tracer would see."""
+    """Settings of every scenario the Bell engine receives."""
     settings = []
 
-    def counting(scenario):
-        settings.append((scenario.theta1, scenario.theta2, scenario.include_m3))
-        return original(scenario)
+    def counting(scenarios):
+        settings.extend((s.theta1, s.theta2, s.include_m3) for s in scenarios)
+        return original(scenarios)
 
-    original = replace_run_bell(monkeypatch, counting)
+    original = replace_bell_engine(monkeypatch, counting)
     return settings
 
 
 @pytest.fixture
 def refused_runs(monkeypatch):
-    def refuse(scenario):
-        raise AssertionError("run_bell was called before validation finished")
+    def refuse(scenarios):
+        raise AssertionError("the Bell engine was called before validation finished")
 
-    replace_run_bell(monkeypatch, refuse)
+    replace_bell_engine(monkeypatch, refuse)
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ from qrsim import (
     spin_basis,
     tensor,
 )
+from qrsim.measurement import _coupling_matrix
 
 
 def pointer_composite(system_dim=2, pointer_dim=3):
@@ -138,6 +139,41 @@ class TestCouplingUnitary:
         weights = np.abs(basis.conj().T @ state) ** 2
         assert_allclose(ens.eigenvalues, np.sort(np.append(weights, 0.0))[::-1], atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "target, pointer_dim", [((("Q", 3),), 4), ((("A", 2), ("B", 2)), 5)]
+    )
+    def test_matches_the_kron_sum_bit_for_bit(self, target, pointer_dim):
+        # a 3-outcome basis on a qutrit and a basis on a 4-dim target, each
+        # declared after the pointer and in reverse, so the build is permuted
+        rng = np.random.default_rng(95)
+        labels = [label for label, _ in target]
+        d = int(np.prod([dim for _, dim in target]))
+        comp = CompositeSystem([("M", pointer_dim)] + list(reversed(target)))
+        bases = np.stack([random_unitary(rng, d) for _ in range(3)])
+        pointers = [int(p) for p in rng.permutation(pointer_dim)[:d]]
+        ready = 1
+        built = [
+            build_measurement_unitary(
+                MeasurementDevice.from_basis("M", basis, pointer_dim, ready, pointers),
+                comp.subset(labels),
+            ).matrix
+            for basis in bases
+        ]
+        stacked = _coupling_matrix(bases, pointers, ready, pointer_dim)
+        # the oracle sums one kron term per outcome, in (target, pointer)
+        # order, and then moves the pointer factor to the front
+        dims = [comp.dim_of(label) for label in comp.labels[1:]] + [pointer_dim]
+        n = len(dims)
+        front = [n - 1] + list(range(n - 1))
+        for basis, matrix, coupling in zip(bases, built, stacked):
+            oracle = np.zeros((d * pointer_dim, d * pointer_dim), dtype=complex)
+            for k, pointer in enumerate(pointers):
+                shift = np.roll(np.eye(pointer_dim), (pointer - ready) % pointer_dim, axis=0)
+                oracle += np.kron(np.outer(basis[:, k], basis[:, k].conj()), shift)
+            assert coupling.tobytes() == oracle.tobytes()
+            permuted = oracle.reshape(dims + dims).transpose(front + [n + a for a in front])
+            assert matrix.tobytes() == permuted.reshape(oracle.shape).tobytes()
+
     def test_target_and_pointer_wiring_validation(self):
         comp = pointer_composite()
         dev = z_device()
@@ -168,6 +204,15 @@ class TestSpinBasis:
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError, match="finite"):
             spin_basis(np.inf)
+        with pytest.raises(ValidationError, match="finite"):
+            spin_basis([0.0, np.nan])
+
+    def test_angle_arrays_stack_the_bases(self):
+        thetas = np.array([[0.0, 1.3], [2.9, -4.4]])
+        stacked = spin_basis(thetas)
+        assert stacked.shape == (2, 2, 2, 2)
+        for index in np.ndindex(thetas.shape):
+            assert stacked[index].tobytes() == spin_basis(float(thetas[index])).tobytes()
 
 
 # ---------------------------------------------------------------------------
