@@ -319,21 +319,18 @@ def _chi_vectors(a: complex, b: complex, u1: np.ndarray) -> tuple:
 def _run_batch(scenarios) -> list:
     """Results of every scenario, in order, from one stacked computation.
 
-    The scenarios share the pair, ``include_m3`` and the outcome values, so
-    the prepared state, and the z-recorded state of the hidden run, are
-    built once.  The angled devices' couplings are stacked over a leading
-    axis with one entry per scenario; reductions go through one batched
-    ``eigh``, and each of the three outcome tables is one contraction over
-    the stack.  Every check that the single-object path makes runs on every
-    scenario, and each result is built from its slices through the
-    containers' own constructors.
+    The scenarios differ only in their angles: the pair, ``include_m3`` and
+    the outcome values are read from the first, so the prepared state, and
+    the z-recorded state of the hidden run, are built once.  Its callers
+    are ``run_bell`` (one scenario) and ``_setting_grid`` (one pair and
+    options for the whole grid).  The angled devices' couplings are stacked
+    over a leading axis with one entry per scenario; reductions go through
+    one batched ``eigh``, and each of the three outcome tables is one
+    contraction over the stack.  Every check that the single-object path
+    makes runs on every scenario, and each result is built from its slices
+    through the containers' own constructors.
     """
     first = scenarios[0]
-    shared = (first.a, first.b, first.include_m3, first.outcome_values)
-    if any((s.a, s.b, s.include_m3, s.outcome_values) != shared for s in scenarios):
-        raise ValidationError(
-            "a batch of runs must share a, b, include_m3 and outcome_values"
-        )
     n = len(scenarios)
     subsystems = [
         (PARTICLE_1, 2),

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -75,11 +74,11 @@ class CompositeSystem:
             )
         object.__setattr__(self, "subsystems", pairs)
 
-    @cached_property
+    @property
     def labels(self) -> tuple:
         return tuple(label for label, _ in self.subsystems)
 
-    @cached_property
+    @property
     def dims(self) -> tuple:
         return tuple(dim for _, dim in self.subsystems)
 
@@ -136,20 +135,20 @@ class SubsystemSet:
         object.__setattr__(obj, "members", frozenset())
         return obj
 
-    @cached_property
+    @property
     def labels(self) -> tuple:
         """Member labels in the parent's declaration order."""
         return tuple(l for l in self.parent.labels if l in self.members)
 
-    @cached_property
+    @property
     def dims(self) -> tuple:
         return tuple(self.parent.dim_of(l) for l in self.labels)
 
-    @cached_property
+    @property
     def joint_dim(self) -> int:
         return math.prod(self.dims) if self.members else 1
 
-    @cached_property
+    @property
     def axes(self) -> tuple:
         return tuple(self.parent.axis(l) for l in self.labels)
 
@@ -408,10 +407,13 @@ def _apply_matrices(matrices: np.ndarray, tensors: np.ndarray, positions) -> np.
 def _checked_norms(amps: np.ndarray) -> np.ndarray:
     """Norms along the last axis, after checking that evolution kept them at 1.
 
-    Each norm equals ``np.linalg.norm`` of its vector bit for bit, so a
-    stacked run normalizes exactly as one ``PureState`` does.
+    The squared norms are row-by-column ``matmul`` products, the dot
+    products ``np.linalg.norm`` sums, so a stacked run normalizes as one
+    ``PureState`` does.
     """
-    norms = np.sqrt(np.vecdot(amps.real, amps.real) + np.vecdot(amps.imag, amps.imag))
+    re = amps.real[..., None, :]
+    im = amps.imag[..., None, :]
+    norms = np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
     drift = float(np.max(np.abs(norms - 1.0)))
     if drift > 1e-12:
         raise NumericalInvariantError(f"unitary application drifted the norm by {drift:.3e}")

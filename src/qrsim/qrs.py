@@ -104,7 +104,7 @@ class JointDistribution:
             )
         for i, ens in enumerate(ensembles):
             marg = table.sum(axis=tuple(a for a in range(table.ndim) if a != i))
-            dev = float(np.abs(marg - ens.eigenvalues).max())
+            dev = float(np.max(np.abs(marg - ens.eigenvalues)))
             if dev > _TABLE_ATOL:
                 raise NumericalInvariantError(
                     f"axis {i} marginal deviates from the ensemble probabilities by {dev:.3e}"

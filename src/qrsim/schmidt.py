@@ -76,16 +76,16 @@ class InternalStateEnsemble:
                 f"vector matrix shape {vecs.shape} does not match "
                 f"(dimension {d}, {vals.size} states)"
             )
-        if (vals < -1e-12).any() or (vals > 1.0 + 1e-12).any():
+        if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
             raise ValidationError("eigenvalues must lie in [0, 1]")
-        if (vals[1:] - vals[:-1] > 1e-12).any():
+        if np.any(np.diff(vals) > 1e-12):
             raise ValidationError("eigenvalues must be in descending order")
         if abs(float(vals.sum()) - 1.0) > _ENSEMBLE_ATOL:
             raise ValidationError(
                 f"eigenvalues sum to {float(vals.sum())!r}, not 1 within {_ENSEMBLE_ATOL}"
             )
         gram = vecs.conj().T @ vecs
-        dev = float(np.abs(gram - np.eye(vals.size)).max())
+        dev = float(np.max(np.abs(gram - np.eye(vals.size))))
         if dev > _ENSEMBLE_ATOL:
             raise ValidationError(
                 f"state vectors are not orthonormal: deviation {dev:.3e}"

@@ -238,11 +238,6 @@ class TestBatchedGrid:
         assert len(sizes) == 2 and sum(sizes) == 33 * 33
         assert max(sizes) <= qrsim.bell._BATCH_LIMIT
 
-    def test_a_batch_shares_its_pair(self):
-        scenarios = [BellScenario(0.6, 0.8, 0.1, 0.2), BellScenario(0.8, 0.6, 0.1, 0.2)]
-        with pytest.raises(ValidationError, match="share"):
-            qrsim.bell._run_batch(scenarios)
-
 
 # ---------------------------------------------------------------------------
 
