@@ -17,7 +17,10 @@ CHSH values are read off one grid of runs over the settings they involve.
 The grid hands its distinct settings to one batched engine, which prepares
 the pair once, stacks every setting's devices along a leading axis and
 computes all of their tables in one pass; ``run_bell`` is that engine's
-batch of one, so a setting gives the same result either way.
+batch of one, so a setting gives the same result either way.  Nothing in
+the engine is paid per setting: each table is contracted on a fixed plan
+(the path greedy search picks for that network at every stack size), and
+the result containers check the whole stack at once.
 
 Outcome indexing everywhere: index 0 is the basis vector at the device
 angle (value +1), index 1 its orthogonal companion (value -1).
@@ -48,17 +51,19 @@ from .measurement import (
     MeasurementDevice,
     _check_basis,
     _coupling_matrix,
+    _sample_count,
     build_measurement_unitary,
     spin_basis,
 )
 from .qrs import (
     JointDistribution,
     QuasiDistribution,
+    _checked_joint,
     _projector_product_table,
     _real_table,
     _reim_pairs,
 )
-from .schmidt import DEFAULT_TOLERANCE, InternalStateEnsemble, _canonical_eigh, _ensemble
+from .schmidt import DEFAULT_TOLERANCE, InternalStateEnsemble, _canonical_eigh, _ensembles
 
 PARTICLE_1 = "P1"
 PARTICLE_2 = "P2"
@@ -72,6 +77,19 @@ _READY = 0
 _POINTERS = (1, 2)
 # settings per stacked run; each holds about 17 KiB of transients while it runs
 _BATCH_LIMIT = 1024
+# Contraction orders of the engine's table networks, keyed by include_m3.
+# They are the paths the greedy search in ``_projector_product_table``
+# returns for these networks at every stack size (tests/test_bell.py checks
+# this), so the engine passes them and no run searches.
+_QUANTUM_PATHS = {
+    True: ((0, 5), (0, 4), (0, 3), (0, 2), (0, 1)),
+    False: ((0, 1), (0, 3), (2, 3), (0, 2), (0, 1)),
+}
+_QUASI_PATHS = {
+    True: ((6, 7), (4, 5), (0, 1), (0, 2), (2, 3), (0, 2), (0, 1)),
+    False: ((6, 7), (0, 1), (2, 3), (0, 2), (0, 1), (0, 2), (0, 1)),
+}
+_HIDDEN_PATH = ((0, 1), (0, 5), (0, 4), (0, 3), (2, 3), (0, 2), (0, 1))
 _READY_MASS_ATOL = 1e-9
 _CORRELATOR_BOUND_ATOL = 1e-9
 
@@ -87,6 +105,9 @@ SWEEP_HEADER = (
 )
 
 CHSH_MODELS = ("quantum", "hidden")
+
+# points per sweep axis; 256 makes a grid of 65,536 settings
+MAX_SWEEP_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -326,9 +347,11 @@ def _run_batch(scenarios) -> list:
     options for the whole grid).  The angled devices' couplings are stacked
     over a leading axis with one entry per scenario; reductions go through
     one batched ``eigh``, and each of the three outcome tables is one
-    contraction over the stack.  Every check that the single-object path
-    makes runs on every scenario, and each result is built from its slices
-    through the containers' own constructors.
+    contraction over the stack on its fixed plan (``_QUANTUM_PATHS``,
+    ``_QUASI_PATHS``, ``_HIDDEN_PATH``), so no path is searched.  Every
+    check that the single-object path makes runs on every scenario: the
+    containers' ``_stack`` constructors run their checks once over the
+    stack and build each result's containers from locked slices of it.
     """
     first = scenarios[0]
     n = len(scenarios)
@@ -382,25 +405,38 @@ def _run_batch(scenarios) -> list:
     indices = _outcome_indices(v)
     pointer_sets = (m1, m2, m3, m1, m2) if first.include_m3 else (m1, m2)
 
-    quantum_raw = _real_table(_projector_product_table(psi_q, (m1, m2), v[:2]))
+    quantum_raw = _real_table(
+        _projector_product_table(psi_q, (m1, m2), v[:2], _QUANTUM_PATHS[first.include_m3])
+    )
     chi_weights, chi_vectors = _chi_vectors(first.a, first.b, u1)
-    quasi_raw = _projector_product_table(psi_q, (p1m1, m1, m2), (chi_vectors, v[0], v[1]))
+    quasi_raw = _projector_product_table(
+        psi_q, (p1m1, m1, m2), (chi_vectors, v[0], v[1]), _QUASI_PATHS[first.include_m3]
+    )
     if first.include_m3:
-        hidden_raw = _real_table(_projector_product_table(psi_h, (m3, m1, m2), v[2:]))
-    quantum, quasi, hidden = [], [], []
-    for i in range(n):
-        ens = [
-            _ensemble(m, w[k, i], v[k, i], DEFAULT_TOLERANCE, bool(degenerate[k, i]))
-            for k, m in enumerate(pointer_sets)
-        ]
-        chi = InternalStateEnsemble(
-            p1m1, chi_weights, chi_vectors[i], DEFAULT_TOLERANCE, degenerate=True
+        hidden_raw = _real_table(
+            _projector_product_table(psi_h, (m3, m1, m2), v[2:], _HIDDEN_PATH)
         )
-        quantum.append(JointDistribution((m1, m2), ens[:2], quantum_raw[i]))
-        quasi.append(QuasiDistribution((p1m1, m1, m2), (chi, *ens[:2]), quasi_raw[i]))
-        if first.include_m3:
-            recorded = JointDistribution((m3, m1, m2), ens[2:], hidden_raw[i])
-            hidden.append(JointDistribution((m1, m2), ens[3:], recorded.table.sum(axis=0)))
+    ens = [
+        _ensembles(m, w[k], v[k], DEFAULT_TOLERANCE, degenerate[k])
+        for k, m in enumerate(pointer_sets)
+    ]
+    chi = InternalStateEnsemble._stack(
+        p1m1,
+        np.broadcast_to(chi_weights, (n, chi_weights.size)),
+        chi_vectors,
+        DEFAULT_TOLERANCE,
+        degenerate=True,
+    )
+    quantum = JointDistribution._stack((m1, m2), list(zip(*ens[:2])), quantum_raw)
+    quasi = QuasiDistribution._stack(
+        (p1m1, m1, m2), list(zip(chi, *ens[:2])), quasi_raw
+    )
+    hidden = []
+    if first.include_m3:
+        recorded = _checked_joint((m3, m1, m2), list(zip(*ens[2:])), hidden_raw)
+        hidden = JointDistribution._stack(
+            (m1, m2), list(zip(*ens[3:])), recorded.sum(axis=1)
+        )
 
     values = first.outcome_values
     quantum_tables = _outcome_blocks(
@@ -574,6 +610,10 @@ def sweep(
     points = int(points)
     if points < 1:
         raise ValidationError("sweep needs at least one grid point per axis")
+    if points > MAX_SWEEP_POINTS:
+        raise ValidationError(
+            f"sweep is capped at {MAX_SWEEP_POINTS} points per axis, got {points}"
+        )
     thetas = [2.0 * math.pi * k / points for k in range(points)]
     grid = _setting_grid(a, b, thetas, thetas, True, outcome_values)
     rows = []
@@ -597,9 +637,7 @@ def sweep(
 
 def sample_joint_outcomes(table: np.ndarray, count: int, seed: int) -> np.ndarray:
     """Seeded outcome counts with the table's shape (table entries as weights)."""
-    count = int(count)
-    if count < 1:
-        raise ValidationError("sample count must be positive")
+    count = _sample_count(count)
     table = np.asarray(table, dtype=float)
     flat = np.clip(table.reshape(-1), 0.0, None)
     total = flat.sum()

@@ -24,6 +24,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .bell import (
+    MAX_SWEEP_POINTS,
     _grid_chsh,
     _setting_grid,
     build_bell_state,
@@ -32,7 +33,14 @@ from .bell import (
 )
 from .errors import NumericalInvariantError, ValidationError
 from .hilbert import CompositeSystem, PureState, apply, as_subsystem_set
-from .measurement import SAMPLER_ALGORITHM, MeasurementDevice, build_measurement_unitary, spin_basis
+from .measurement import (
+    MAX_SAMPLES,
+    SAMPLER_ALGORITHM,
+    MeasurementDevice,
+    _sample_count,
+    build_measurement_unitary,
+    spin_basis,
+)
 from .qrs import _reim_pairs, comparability, formal_joint, joint_probability
 from .schmidt import schmidt_decompose
 
@@ -390,8 +398,7 @@ def cmd_bell(args) -> int:
             raise ValidationError(
                 "model 'quasi' is not a probability table and cannot be sampled"
             )
-        if args.samples < 1:
-            raise ValidationError("sample count must be positive")
+        _sample_count(args.samples)
 
     theta1, theta2 = args.theta1, args.theta2
     if args.degrees:
@@ -520,7 +527,10 @@ def _build_parser() -> argparse.ArgumentParser:
         const=16,
         default=None,
         metavar="POINTS",
-        help="emit a CSV angle-grid sweep (default 16 points per axis)",
+        help=(
+            "emit a CSV angle-grid sweep (default 16, at most "
+            f"{MAX_SWEEP_POINTS} points per axis)"
+        ),
     )
     p_bell.add_argument(
         "--chsh-angles",
@@ -534,7 +544,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="draw N outcomes and report empirical frequencies",
+        help=f"draw N outcomes (at most {MAX_SAMPLES}) and report empirical frequencies",
     )
     p_bell.add_argument(
         "--degrees", action="store_true", help="interpret angles as degrees"

@@ -187,6 +187,16 @@ def _lock(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _frozen(cls, **fields):
+    """A ``cls`` instance holding ``fields`` as given, without ``__post_init__``.
+
+    For stacked constructors, whose checks have already run on every member.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized state vector over a composite system.  Immutable."""

@@ -30,6 +30,8 @@ from .hilbert import (
 from .schmidt import InternalStateEnsemble
 
 SAMPLER_ALGORITHM = "numpy.random.PCG64"
+# draws per sampling call; 10**7 draws take about 160 MB of buffers
+MAX_SAMPLES = 10 ** 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,13 +246,21 @@ def spin_basis(theta) -> np.ndarray:
     return basis
 
 
+def _sample_count(count) -> int:
+    """``count`` as an int, checked to lie in [1, MAX_SAMPLES] before any draw."""
+    count = int(count)
+    if count < 1:
+        raise ValidationError("sample count must be positive")
+    if count > MAX_SAMPLES:
+        raise ValidationError(f"sample count is capped at {MAX_SAMPLES}, got {count}")
+    return count
+
+
 def sample_outcome_indices(
     ensemble: InternalStateEnsemble, count: int, seed: int
 ) -> np.ndarray:
     """Vector of ``count`` seeded draws from the ensemble's probabilities."""
-    count = int(count)
-    if count < 1:
-        raise ValidationError("sample count must be positive")
+    count = _sample_count(count)
     weights = ensemble.eigenvalues
     probs = weights / float(weights.sum())
     rng = np.random.Generator(np.random.PCG64(int(seed)))

@@ -17,7 +17,8 @@ pairing across a bipartition's Schmidt decomposition.
 
 Every table, proper or formal (a Kirkwood-Dirac quasiprobability), is one
 einsum network over ket, ensemble vectors and bra, contracted on a greedy
-path whose size cap comes from the inputs (``_projector_product_table``).
+path whose size cap comes from the inputs, or on a fixed path that a caller
+with a fixed network supplies (``_projector_product_table``).
 Queries needing more than einsum's 52 labels are refused up front.
 """
 
@@ -42,6 +43,7 @@ from .hilbert import (
     PureState,
     SubsystemSet,
     as_subsystem_set,
+    _frozen,
     _lock,
     partial_trace,
 )
@@ -66,6 +68,61 @@ def _reim_pairs(values) -> list:
     return np.stack((values.real, values.imag), -1).tolist()
 
 
+def _check_table_shapes(ensembles, tables) -> None:
+    """Each member's table shape against the sizes of its ensembles.
+
+    ``tables`` stacks B tables and ``ensembles`` holds B ensemble tuples,
+    one per member and one ensemble per table axis.
+    """
+    for members in ensembles:
+        shape = tuple(e.eigenvalues.size for e in members)
+        if tables.shape[1:] != shape:
+            raise NumericalInvariantError(
+                f"table shape {tables.shape[1:]} does not match ensemble sizes {shape}"
+            )
+
+
+def _checked_joint(systems, ensembles, tables) -> np.ndarray:
+    """``JointDistribution``'s checks on a stack of tables; returns them clipped.
+
+    ``ensembles`` and ``tables`` are as in ``_check_table_shapes``.  The
+    first check that any member fails raises, with that check's first
+    failing member in the message, so a stack of one raises what a single
+    construction does.
+    """
+    if any(len(systems) != len(members) for members in ensembles):
+        raise NumericalInvariantError("systems and ensembles are misaligned")
+    _check_table_shapes(ensembles, tables)
+    axes = tuple(range(1, tables.ndim))
+    lows = tables.min(axis=axes, initial=0.0)
+    bad = lows < _CLIP_FLOOR
+    if bad.any():
+        raise NumericalInvariantError(
+            f"probability entry {float(lows[bad.argmax()]):.3e} below the clip floor "
+            f"{_CLIP_FLOOR}"
+        )
+    if np.any(tables.max(axis=axes, initial=0.0) > 1.0 + _TABLE_ATOL):
+        raise NumericalInvariantError("probability entry above 1")
+    tables = np.clip(tables, 0.0, 1.0)
+    totals = tables.sum(axis=axes)
+    bad = np.abs(totals - 1.0) > _TABLE_ATOL
+    if bad.any():
+        raise NumericalInvariantError(
+            f"table sums to {float(totals[bad.argmax()])!r}, not 1 within {_TABLE_ATOL}"
+        )
+    for i in range(len(systems)):
+        marg = tables.sum(axis=tuple(a for a in axes if a != i + 1))
+        eigenvalues = np.stack([m[i].eigenvalues for m in ensembles])
+        devs = np.max(np.abs(marg - eigenvalues), axis=-1)
+        bad = devs > _TABLE_ATOL
+        if bad.any():
+            raise NumericalInvariantError(
+                f"axis {i} marginal deviates from the ensemble probabilities by "
+                f"{devs[bad.argmax()]:.3e}"
+            )
+    return tables
+
+
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Proper joint outcome table over pairwise-disjoint systems.
@@ -82,36 +139,26 @@ class JointDistribution:
     def __post_init__(self):
         systems = tuple(self.systems)
         ensembles = tuple(self.ensembles)
-        table = np.asarray(self.table, dtype=float)
-        shape = tuple(e.eigenvalues.size for e in ensembles)
-        if len(systems) != len(ensembles):
-            raise NumericalInvariantError("systems and ensembles are misaligned")
-        if table.shape != shape:
-            raise NumericalInvariantError(
-                f"table shape {table.shape} does not match ensemble sizes {shape}"
-            )
-        if float(table.min(initial=0.0)) < _CLIP_FLOOR:
-            raise NumericalInvariantError(
-                f"probability entry {float(table.min()):.3e} below the clip floor {_CLIP_FLOOR}"
-            )
-        if float(table.max(initial=0.0)) > 1.0 + _TABLE_ATOL:
-            raise NumericalInvariantError("probability entry above 1")
-        table = np.clip(table, 0.0, 1.0)
-        total = float(table.sum())
-        if abs(total - 1.0) > _TABLE_ATOL:
-            raise NumericalInvariantError(
-                f"table sums to {total!r}, not 1 within {_TABLE_ATOL}"
-            )
-        for i, ens in enumerate(ensembles):
-            marg = table.sum(axis=tuple(a for a in range(table.ndim) if a != i))
-            dev = float(np.max(np.abs(marg - ens.eigenvalues)))
-            if dev > _TABLE_ATOL:
-                raise NumericalInvariantError(
-                    f"axis {i} marginal deviates from the ensemble probabilities by {dev:.3e}"
-                )
+        table = _checked_joint(
+            systems, [ensembles], np.asarray(self.table, dtype=float)[None]
+        )
         object.__setattr__(self, "systems", systems)
         object.__setattr__(self, "ensembles", ensembles)
-        object.__setattr__(self, "table", _lock(table))
+        object.__setattr__(self, "table", _lock(table)[0])
+
+    @classmethod
+    def _stack(cls, systems, ensembles, tables) -> list:
+        """One distribution per member of (B, ...) tables.
+
+        ``ensembles`` holds each member's ensemble tuple.  The checks run
+        once over the stack; each distribution holds a locked slice of it.
+        """
+        systems = tuple(systems)
+        tables = _lock(_checked_joint(systems, ensembles, np.asarray(tables, dtype=float)))
+        return [
+            _frozen(cls, systems=systems, ensembles=tuple(members), table=table)
+            for members, table in zip(ensembles, tables)
+        ]
 
     def marginal(self, i: int) -> np.ndarray:
         axes = tuple(a for a in range(self.table.ndim) if a != i)
@@ -123,6 +170,13 @@ class JointDistribution:
             "shape": [int(n) for n in self.table.shape],
             "values": self.table.reshape(-1).tolist(),
         }
+
+
+def _check_quasi(ensembles, tables) -> None:
+    """``QuasiDistribution``'s checks on a stack of tables (as ``_checked_joint``)."""
+    _check_table_shapes(ensembles, tables)
+    if not np.all(np.isfinite(tables)):
+        raise NumericalInvariantError("quasi table entries must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,16 +195,22 @@ class QuasiDistribution:
         systems = tuple(self.systems)
         ensembles = tuple(self.ensembles)
         table = np.asarray(self.table, dtype=complex)
-        shape = tuple(e.eigenvalues.size for e in ensembles)
-        if table.shape != shape:
-            raise NumericalInvariantError(
-                f"table shape {table.shape} does not match ensemble sizes {shape}"
-            )
-        if not np.all(np.isfinite(table)):
-            raise NumericalInvariantError("quasi table entries must be finite")
+        _check_quasi([ensembles], table[None])
         object.__setattr__(self, "systems", systems)
         object.__setattr__(self, "ensembles", ensembles)
         object.__setattr__(self, "table", _lock(table))
+
+    @classmethod
+    def _stack(cls, systems, ensembles, tables) -> list:
+        """One table per member of (B, ...) tables, as ``JointDistribution._stack``."""
+        systems = tuple(systems)
+        tables = np.asarray(tables, dtype=complex)
+        _check_quasi(ensembles, tables)
+        tables = _lock(tables)
+        return [
+            _frozen(cls, systems=systems, ensembles=tuple(members), table=table)
+            for members, table in zip(ensembles, tables)
+        ]
 
     @property
     def max_imag(self) -> float:
@@ -230,7 +290,7 @@ def state_of(target, reference, psi_ref: PureState) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 # projector-product kernel
 
-def _projector_product_table(ket: np.ndarray, systems, vectors) -> np.ndarray:
+def _projector_product_table(ket: np.ndarray, systems, vectors, path=None) -> np.ndarray:
     """Entries <psi| P_1 ... P_n |psi> over all ensemble index combinations.
 
     ``ket`` is the state tensor, one axis per subsystem of the systems'
@@ -249,6 +309,10 @@ def _projector_product_table(ket: np.ndarray, systems, vectors) -> np.ndarray:
     makes greedy stop early and hand the remaining operands to one
     many-operand loop: with numpy's default cap, the largest operand, that
     loop is slower on overlapping chains than contracting entry by entry.
+    A caller whose network is fixed passes the pairwise contraction order
+    that search returns as ``path`` (``np.einsum_path`` without its leading
+    ``"einsum_path"``); einsum then runs those contractions without
+    searching, so the table is the same to the bit.
     """
     labels = iter(_EINSUM_LABELS)
     batched = ket.ndim > len(systems[0].parent.dims)
@@ -267,6 +331,8 @@ def _projector_product_table(ket: np.ndarray, systems, vectors) -> np.ndarray:
     terms.append(batch + "".join(current))
     operands.append(ket.conj())
     expr = ",".join(terms) + "->" + batch + "".join(outputs)
+    if path is not None:
+        return np.einsum(expr, *operands, optimize=["einsum_path", *path])
     sizes = [v.shape[-1] for v in vectors]
     runs = ket.shape[0] if batched else 1
     limit = max(ket.size * max(sizes), runs * math.prod(sizes))

@@ -26,6 +26,7 @@ from .hilbert import (
     PureState,
     SubsystemSet,
     as_subsystem_set,
+    _frozen,
     _lock,
     permute_vector_factors,
 )
@@ -56,6 +57,47 @@ def _fix_phases(vectors: np.ndarray) -> tuple:
     return vectors * phases.conj()[..., None, :], phases
 
 
+def _checked_ensembles(d: int, vals, vecs, tolerance, negligible) -> tuple:
+    """``InternalStateEnsemble``'s checks on a stack of members.
+
+    ``vals`` is (B, n) and ``vecs`` (B, d, n); ``negligible`` is None, for
+    flags read off the eigenvalues, or B members' flags.  The first check
+    that any member fails raises, with that check's first failing member in
+    the message, so a stack of one raises what a single construction does.
+    Returns the eigenvalues clipped to [0, 1] and the negligible flags.
+    """
+    n = vals.shape[-1]
+    if vecs.shape[1:] != (d, n):
+        raise ValidationError(
+            f"vector matrix shape {vecs.shape[1:]} does not match "
+            f"(dimension {d}, {n} states)"
+        )
+    if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
+        raise ValidationError("eigenvalues must lie in [0, 1]")
+    if np.any(np.diff(vals) > 1e-12):
+        raise ValidationError("eigenvalues must be in descending order")
+    sums = vals.sum(axis=-1)
+    bad = np.abs(sums - 1.0) > _ENSEMBLE_ATOL
+    if bad.any():
+        raise ValidationError(
+            f"eigenvalues sum to {float(sums[bad.argmax()])!r}, not 1 within {_ENSEMBLE_ATOL}"
+        )
+    gram = vecs.conj().swapaxes(-1, -2) @ vecs
+    devs = np.max(np.abs(gram - np.eye(n)), axis=(-2, -1))
+    bad = devs > _ENSEMBLE_ATOL
+    if bad.any():
+        raise ValidationError(
+            f"state vectors are not orthonormal: deviation {devs[bad.argmax()]:.3e}"
+        )
+    if negligible is None:
+        negligible = vals < tolerance
+    else:
+        negligible = np.array(negligible, dtype=bool).reshape(len(vals), -1)
+        if negligible.shape != vals.shape:
+            raise ValidationError("negligible flags must align with eigenvalues")
+    return np.clip(vals, 0.0, 1.0), negligible
+
+
 @dataclass(frozen=True, eq=False)
 class InternalStateEnsemble:
     """Eigenvalue-ordered possible internal states of one subsystem set."""
@@ -68,37 +110,47 @@ class InternalStateEnsemble:
     negligible: np.ndarray = None
 
     def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=float).reshape(-1)
-        vecs = np.asarray(self.vectors, dtype=complex)
-        d = self.subsystem.joint_dim
-        if vecs.shape != (d, vals.size):
-            raise ValidationError(
-                f"vector matrix shape {vecs.shape} does not match "
-                f"(dimension {d}, {vals.size} states)"
+        vecs = np.array(self.vectors, dtype=complex)
+        vals, neg = _checked_ensembles(
+            self.subsystem.joint_dim,
+            np.asarray(self.eigenvalues, dtype=float).reshape(1, -1),
+            vecs[None],
+            self.tolerance,
+            self.negligible,
+        )
+        object.__setattr__(self, "eigenvalues", _lock(vals)[0])
+        object.__setattr__(self, "vectors", _lock(vecs))
+        object.__setattr__(self, "negligible", _lock(neg)[0])
+
+    @classmethod
+    def _stack(cls, subsystem, eigenvalues, vectors, tolerance, degenerate) -> list:
+        """One ensemble per member of (B, n) eigenvalues and (B, d, n) vectors.
+
+        The checks run once over the stack; each ensemble holds locked
+        slices of it.  ``degenerate`` is one flag for all or one per member.
+        """
+        vecs = np.array(vectors, dtype=complex)
+        vals, neg = _checked_ensembles(
+            subsystem.joint_dim,
+            np.asarray(eigenvalues, dtype=float),
+            vecs,
+            tolerance,
+            None,
+        )
+        vals, vecs, neg = _lock(vals), _lock(vecs), _lock(neg)
+        flags = np.broadcast_to(degenerate, len(vals)).tolist()
+        return [
+            _frozen(
+                cls,
+                subsystem=subsystem,
+                eigenvalues=vals[i],
+                vectors=vecs[i],
+                tolerance=tolerance,
+                degenerate=flags[i],
+                negligible=neg[i],
             )
-        if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
-            raise ValidationError("eigenvalues must lie in [0, 1]")
-        if np.any(np.diff(vals) > 1e-12):
-            raise ValidationError("eigenvalues must be in descending order")
-        if abs(float(vals.sum()) - 1.0) > _ENSEMBLE_ATOL:
-            raise ValidationError(
-                f"eigenvalues sum to {float(vals.sum())!r}, not 1 within {_ENSEMBLE_ATOL}"
-            )
-        gram = vecs.conj().T @ vecs
-        dev = float(np.max(np.abs(gram - np.eye(vals.size))))
-        if dev > _ENSEMBLE_ATOL:
-            raise ValidationError(
-                f"state vectors are not orthonormal: deviation {dev:.3e}"
-            )
-        neg = self.negligible
-        if neg is None:
-            neg = vals < self.tolerance
-        neg = np.asarray(neg, dtype=bool).reshape(-1)
-        if neg.size != vals.size:
-            raise ValidationError("negligible flags must align with eigenvalues")
-        object.__setattr__(self, "eigenvalues", _lock(np.clip(vals, 0.0, 1.0)))
-        object.__setattr__(self, "vectors", _lock(vecs.copy()))
-        object.__setattr__(self, "negligible", _lock(neg.copy()))
+            for i in range(len(vals))
+        ]
 
     def projector(self, k: int) -> np.ndarray:
         v = self.vectors[:, k]
@@ -120,7 +172,7 @@ def possible_internal_states(
     if not isinstance(rho, DensityMatrix):
         raise ValidationError("possible_internal_states expects a DensityMatrix")
     w, v, degenerate = _canonical_eigh(rho.matrix[None], tolerance)
-    return _ensemble(rho.system, w[0], v[0], tolerance, bool(degenerate[0]))
+    return _ensembles(rho.system, w, v, tolerance, degenerate)[0]
 
 
 def _canonical_eigh(matrices: np.ndarray, tolerance: float) -> tuple:
@@ -158,22 +210,17 @@ def _canonical_eigh(matrices: np.ndarray, tolerance: float) -> tuple:
     return w, v, degenerate
 
 
-def _ensemble(
+def _ensembles(
     subsystem: SubsystemSet,
     w: np.ndarray,
     v: np.ndarray,
     tolerance: float,
-    degenerate: bool,
-) -> InternalStateEnsemble:
-    """The ensemble of one canonical eigendecomposition (see ``_canonical_eigh``)."""
+    degenerate,
+) -> list:
+    """The ensembles of a stack of canonical eigendecompositions (see ``_canonical_eigh``)."""
     try:
-        return InternalStateEnsemble(
-            subsystem=subsystem,
-            eigenvalues=np.clip(w, 0.0, 1.0),
-            vectors=v,
-            tolerance=tolerance,
-            degenerate=degenerate,
-            negligible=w < tolerance,
+        return InternalStateEnsemble._stack(
+            subsystem, np.clip(w, 0.0, 1.0), v, tolerance, degenerate
         )
     except ValidationError as exc:
         raise NumericalInvariantError(f"eigendecomposition broke an invariant: {exc}") from exc

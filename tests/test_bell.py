@@ -12,6 +12,7 @@ import qrsim.bell
 from qrsim import (
     BellScenario,
     CompositeSystem,
+    NumericalInvariantError,
     SWEEP_HEADER,
     ValidationError,
     build_bell_state,
@@ -19,9 +20,11 @@ from qrsim import (
     chsh_at_point,
     run_bell,
     sample_joint_outcomes,
+    sample_outcome_indices,
     schmidt_decompose,
     sweep,
 )
+from qrsim.measurement import MAX_SAMPLES
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -238,6 +241,49 @@ class TestBatchedGrid:
         assert len(sizes) == 2 and sum(sizes) == 33 * 33
         assert max(sizes) <= qrsim.bell._BATCH_LIMIT
 
+    def test_the_recorded_table_is_checked_on_its_z_axis(self, monkeypatch):
+        kernel = qrsim.qrs._projector_product_table
+
+        def z_reversed(ket, systems, vectors, path=None):
+            table = kernel(ket, systems, vectors, path)
+            # M1 and M2 marginals stay right; only the M3 (z record) one moves
+            return table[:, ::-1] if path == qrsim.bell._HIDDEN_PATH else table
+
+        monkeypatch.setattr(qrsim.bell, "_projector_product_table", z_reversed)
+        with pytest.raises(NumericalInvariantError, match="axis 0 marginal deviates"):
+            qrsim.bell._setting_grid(0.6, 0.8, (0.3, 1.2), (0.5,), True)
+
+    @pytest.mark.parametrize("count", [1, 4, 1024])
+    @pytest.mark.parametrize("include_m3", [True, False])
+    def test_fixed_plans_are_the_greedy_paths(self, monkeypatch, count, include_m3):
+        bell = qrsim.bell
+        kernel = qrsim.qrs._projector_product_table
+        calls = []
+
+        def recording(ket, systems, vectors, path=None):
+            calls.append((ket, systems, vectors, path))
+            return kernel(ket, systems, vectors, path)
+
+        monkeypatch.setattr(bell, "_projector_product_table", recording)
+        thetas = np.random.default_rng(count).uniform(-7.0, 7.0, (count, 2))
+        bell._run_batch([BellScenario(0.6, 0.8, t1, t2, include_m3) for t1, t2 in thetas])
+        plans = [bell._QUANTUM_PATHS[include_m3], bell._QUASI_PATHS[include_m3]]
+        if include_m3:
+            plans.append(bell._HIDDEN_PATH)
+        assert [path for *_, path in calls] == plans
+
+        einsum = np.einsum
+        searched = []
+
+        def searching(expr, *operands, optimize):
+            searched.append(np.einsum_path(expr, *operands, optimize=optimize)[0])
+            return einsum(expr, *operands, optimize=optimize)
+
+        monkeypatch.setattr(np, "einsum", searching)
+        for ket, systems, vectors, _ in calls:
+            kernel(ket, systems, vectors)
+        assert searched == [["einsum_path", *plan] for plan in plans]
+
 
 # ---------------------------------------------------------------------------
 
@@ -309,6 +355,15 @@ class TestSweep:
         with pytest.raises(ValidationError, match="at least one"):
             sweep(INV_SQRT2, INV_SQRT2, points=0)
 
+    def test_points_are_capped_before_any_setting_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a setting was built before the bound was checked")
+
+        monkeypatch.setattr(qrsim.bell, "BellScenario", refuse)
+        points = qrsim.bell.MAX_SWEEP_POINTS + 1
+        with pytest.raises(ValidationError, match=f"at 256 points per axis, got {points}"):
+            sweep(INV_SQRT2, INV_SQRT2, points=points)
+
 
 class TestSampling:
     def test_reproducible_counts(self):
@@ -329,6 +384,16 @@ class TestSampling:
             sample_joint_outcomes(np.ones((2, 2)) / 4, 0, seed=0)
         with pytest.raises(ValidationError, match="all-zero"):
             sample_joint_outcomes(np.zeros((2, 2)), 10, seed=0)
+
+    def test_count_is_capped_before_drawing(self):
+        assert MAX_SAMPLES == 10 ** 7
+        table = np.ones((2, 2)) / 4
+        ensemble = run_bell(BellScenario(0.6, 0.8, 0.7, 1.9)).quantum_joint.ensembles[0]
+        for count in (MAX_SAMPLES + 1, 10 ** 12):
+            with pytest.raises(ValidationError, match=f"capped at {MAX_SAMPLES}, got {count}"):
+                sample_joint_outcomes(table, count, seed=0)
+            with pytest.raises(ValidationError, match=f"capped at {MAX_SAMPLES}, got {count}"):
+                sample_outcome_indices(ensemble, count, seed=0)
 
 
 class TestResultShape:

@@ -529,6 +529,25 @@ class TestBellCommand:
         rc, _, err = run_cli(capsys, "bell", "--samples", count)
         assert rc == 2 and "positive" in err
 
+    @pytest.mark.parametrize("count", ["10000001", "1000000000000"])
+    def test_sample_count_is_capped_before_any_run(self, capsys, refused_runs, count):
+        rc, out, err = run_cli(capsys, "bell", "--model", "quantum", "--samples", count)
+        assert rc == 2 and out == ""
+        assert err == f"error: sample count is capped at 10000000, got {count}\n"
+
+    @pytest.mark.parametrize("points", ["257", "100000"])
+    def test_sweep_points_are_capped_before_any_run(self, capsys, refused_runs, points):
+        rc, out, err = run_cli(capsys, "bell", "--sweep", points)
+        assert rc == 2 and out == ""
+        assert err == f"error: sweep is capped at 256 points per axis, got {points}\n"
+
+    def test_help_states_the_bounds(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bell", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "at most 256 points per axis" in out
+        assert "draw N outcomes (at most 10000000)" in out
+
     @pytest.mark.parametrize(
         "argv, runs",
         [

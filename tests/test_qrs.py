@@ -493,3 +493,91 @@ class TestDistributionContainers:
         assert q["systems"] == ["S1", "S2"]
         assert q["shape"] == [2, 2]
         assert [len(v) for v in q["values"]] == [2, 2, 2, 2]
+
+
+class TestStackedDistributions:
+    """``_stack`` constructors check once per stack, as each member alone."""
+
+    COUNT = 4
+    BAD = 2  # the corrupted member
+
+    def setup_method(self):
+        comp = CompositeSystem([("A", 3), ("B", 2)])
+        self.systems = (comp.subset(["A"]), comp.subset(["B"]))
+        rng = np.random.default_rng(17)
+        columns = []
+        for s in self.systems:
+            d = s.joint_dim
+            vals = np.sort(rng.dirichlet(np.ones(d), self.COUNT), axis=-1)[:, ::-1]
+            vals[1, -1] = 0.0  # member 1 has an empty row and column
+            vals[1] /= vals[1].sum()
+            vecs = np.linalg.qr(rng.standard_normal((self.COUNT, d, d)))[0]
+            columns.append(InternalStateEnsemble._stack(s, vals, vecs, 1e-9, False))
+        self.ensembles = list(zip(*columns))
+        self.tables = np.stack(
+            [np.outer(a.eigenvalues, b.eigenvalues) for a, b in self.ensembles]
+        )
+        self.quasi = self.tables + 1j * rng.standard_normal(self.tables.shape)
+
+    def assert_same_error(self, single, stacked):
+        with pytest.raises(NumericalInvariantError) as alone:
+            single()
+        with pytest.raises(NumericalInvariantError) as together:
+            stacked()
+        assert type(together.value) is type(alone.value)
+        assert str(together.value) == str(alone.value)
+
+    def test_clean_stacks_equal_single_constructions(self):
+        self.tables[1, -1, 0] = -5e-10  # rounding noise, clipped to zero
+        self.tables[1, -1, -1] = 5e-10
+        joints = JointDistribution._stack(self.systems, self.ensembles, self.tables)
+        quasis = QuasiDistribution._stack(self.systems, self.ensembles, self.quasi)
+        for i in range(self.COUNT):
+            for cls, stacked, table in (
+                (JointDistribution, joints[i], self.tables[i]),
+                (QuasiDistribution, quasis[i], self.quasi[i]),
+            ):
+                alone = cls(self.systems, self.ensembles[i], table.copy())
+                assert stacked.systems == alone.systems
+                assert all(x is y for x, y in zip(stacked.ensembles, alone.ensembles))
+                assert stacked.table.dtype == alone.table.dtype
+                assert stacked.table.shape == alone.table.shape
+                assert stacked.table.tobytes() == alone.table.tobytes()
+                assert not stacked.table.flags.writeable
+        assert joints[1].table[-1, 0] == 0.0
+
+    @pytest.mark.parametrize("corruption", ["floor", "above one", "sum", "marginal"])
+    def test_a_corrupt_joint_member_raises_its_single_error(self, corruption):
+        table = self.tables[self.BAD]
+        if corruption == "floor":
+            table[0, 0] = -1e-6
+        elif corruption == "above one":
+            table[0, 0] = 1.5
+        elif corruption == "sum":
+            table *= 0.99
+        else:
+            table[:] = table[::-1].copy()
+        self.assert_same_error(
+            lambda: JointDistribution(self.systems, self.ensembles[self.BAD], table),
+            lambda: JointDistribution._stack(self.systems, self.ensembles, self.tables),
+        )
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_a_non_finite_quasi_member_raises_its_single_error(self, entry):
+        self.quasi[self.BAD, 1, 0] = entry
+        bad = self.BAD
+        self.assert_same_error(
+            lambda: QuasiDistribution(self.systems, self.ensembles[bad], self.quasi[bad]),
+            lambda: QuasiDistribution._stack(self.systems, self.ensembles, self.quasi),
+        )
+
+    def test_shape_and_alignment_are_checked_per_member(self):
+        short = [members[:1] for members in self.ensembles]
+        self.assert_same_error(
+            lambda: JointDistribution(self.systems, short[0], self.tables[0]),
+            lambda: JointDistribution._stack(self.systems, short, self.tables),
+        )
+        self.assert_same_error(
+            lambda: QuasiDistribution(self.systems, short[0], self.quasi[0]),
+            lambda: QuasiDistribution._stack(self.systems, short, self.quasi),
+        )

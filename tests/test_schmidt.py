@@ -145,6 +145,68 @@ class TestEnsembleValidation:
             InternalStateEnsemble(self.sub, [0.5, 0.5], np.eye(2), negligible=[False])
 
 
+def random_ensembles(rng, d, count):
+    """``count`` valid (descending eigenvalues, orthonormal columns) pairs, stacked."""
+    vals = np.ascontiguousarray(np.sort(rng.dirichlet(np.ones(d), count), axis=-1)[:, ::-1])
+    vecs = np.stack([random_unitary(rng, d) for _ in range(count)])
+    return vals, vecs
+
+
+class TestStackedEnsembles:
+    """``InternalStateEnsemble._stack`` checks once per stack, as each member alone."""
+
+    COUNT = 5
+    BAD = 3  # the corrupted member
+
+    def setup_method(self):
+        self.sub = CompositeSystem([("A", 3), ("B", 2)]).subset(["A"])
+        self.vals, self.vecs = random_ensembles(np.random.default_rng(11), 3, self.COUNT)
+        self.vals[1, -1] = 0.0  # a negligible state
+        self.vals[1] /= self.vals[1].sum()
+        self.flags = [True, False, False, True, False]
+
+    def test_clean_stack_equals_single_constructions(self):
+        stack = InternalStateEnsemble._stack(self.sub, self.vals, self.vecs, 1e-9, self.flags)
+        assert len(stack) == self.COUNT
+        for i, ens in enumerate(stack):
+            alone = InternalStateEnsemble(
+                self.sub, self.vals[i], self.vecs[i], 1e-9, degenerate=self.flags[i]
+            )
+            assert ens.subsystem is alone.subsystem
+            assert ens.tolerance == alone.tolerance
+            assert ens.degenerate is alone.degenerate
+            for name in ("eigenvalues", "vectors", "negligible"):
+                got, want = getattr(ens, name), getattr(alone, name)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+        assert stack[1].negligible.tolist() == [False, False, True]
+
+    def test_stack_holds_copies(self):
+        stack = InternalStateEnsemble._stack(self.sub, self.vals, self.vecs, 1e-9, False)
+        before = stack[0].vectors.copy()
+        self.vecs[0] = 0.0
+        assert np.array_equal(stack[0].vectors, before)
+
+    @pytest.mark.parametrize("corruption", ["order", "range", "sum", "gram"])
+    def test_a_corrupt_member_raises_its_single_error(self, corruption):
+        vals, vecs = self.vals[self.BAD], self.vecs[self.BAD]
+        if corruption == "order":
+            vals[:] = vals[::-1].copy()
+        elif corruption == "range":
+            vals[0] = 1.5
+        elif corruption == "sum":
+            vals *= 0.9
+        else:
+            vecs[:, 0] *= 1.01
+        with pytest.raises(ValidationError) as alone:
+            InternalStateEnsemble(self.sub, vals, vecs, 1e-9)
+        with pytest.raises(ValidationError) as stacked:
+            InternalStateEnsemble._stack(self.sub, self.vals, self.vecs, 1e-9, False)
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == str(alone.value)
+
+
 # ---------------------------------------------------------------------------
 
 
