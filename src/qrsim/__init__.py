@@ -2,7 +2,7 @@
 
 The package builds labeled composite systems, extracts the internal states a
 subsystem can possess relative to a containing reference, and evaluates
-joint, conditional, formal (quasi), and sampled outcome statistics.  The
+joint, formal (quasi), and sampled outcome statistics.  The
 ``bell`` module assembles these pieces into the canonical two-particle
 correlation experiment; ``cli`` exposes everything as a command-line tool.
 """
@@ -10,7 +10,6 @@ correlation experiment; ``cli`` exposes everything as a command-line tool.
 from .errors import (
     NumericalInvariantError,
     OverlappingSystemsError,
-    UndefinedConditionalError,
     ValidationError,
 )
 from .hilbert import (
@@ -21,11 +20,9 @@ from .hilbert import (
     SubsystemSet,
     apply,
     as_subsystem_set,
-    embed,
     partial_trace,
     permute_operator_factors,
     permute_vector_factors,
-    tensor,
 )
 from .schmidt import (
     DEFAULT_TOLERANCE,
@@ -40,7 +37,6 @@ from .qrs import (
     JointDistribution,
     QuasiDistribution,
     comparability,
-    conditional_probability,
     formal_joint,
     joint_probability,
     state_of,
@@ -59,7 +55,6 @@ from .bell import (
     SWEEP_HEADER,
     build_bell_state,
     chsh,
-    chsh_at_point,
     run_bell,
     sample_joint_outcomes,
     sweep,
@@ -87,17 +82,13 @@ __all__ = [
     "SWEEP_HEADER",
     "SchmidtDecomposition",
     "SubsystemSet",
-    "UndefinedConditionalError",
     "ValidationError",
     "apply",
     "as_subsystem_set",
     "build_bell_state",
     "build_measurement_unitary",
     "chsh",
-    "chsh_at_point",
     "comparability",
-    "conditional_probability",
-    "embed",
     "formal_joint",
     "joint_probability",
     "partial_trace",
@@ -112,5 +103,4 @@ __all__ = [
     "spin_basis",
     "state_of",
     "sweep",
-    "tensor",
 ]

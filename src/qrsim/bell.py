@@ -38,14 +38,10 @@ from .hilbert import (
     CompositeSystem,
     NORM_ACCEPT_BAND,
     PureState,
-    _apply_matrices,
-    _check_density,
-    _check_eigen_floor,
     _check_unitary,
-    _checked_norms,
+    _evolve,
     _lock,
     _pure_reductions,
-    apply,
 )
 from .measurement import (
     MeasurementDevice,
@@ -63,7 +59,7 @@ from .qrs import (
     _real_table,
     _reim_pairs,
 )
-from .schmidt import DEFAULT_TOLERANCE, InternalStateEnsemble, _canonical_eigh, _ensembles
+from .schmidt import DEFAULT_TOLERANCE, InternalStateEnsemble, _checked_eigh, _ensembles
 
 PARTICLE_1 = "P1"
 PARTICLE_2 = "P2"
@@ -308,15 +304,6 @@ def _device_couplings(thetas) -> np.ndarray:
     return couplings
 
 
-def _evolve(state: np.ndarray, couplings, supports) -> np.ndarray:
-    """Apply stacked couplings in order, normalizing after each like ``apply``."""
-    for u, support in zip(couplings, supports):
-        state = _apply_matrices(u, state, support.axes)
-        flat = state.reshape(len(state), -1)
-        state = (flat / _checked_norms(flat)[:, None]).reshape(state.shape)
-    return state
-
-
 def _chi_vectors(a: complex, b: complex, u1: np.ndarray) -> tuple:
     """Post-interaction internal states of (first particle + its pointer).
 
@@ -341,17 +328,16 @@ def _run_batch(scenarios) -> list:
     """Results of every scenario, in order, from one stacked computation.
 
     The scenarios differ only in their angles: the pair, ``include_m3`` and
-    the outcome values are read from the first, so the prepared state, and
-    the z-recorded state of the hidden run, are built once.  Its callers
-    are ``run_bell`` (one scenario) and ``_setting_grid`` (one pair and
-    options for the whole grid).  The angled devices' couplings are stacked
-    over a leading axis with one entry per scenario; reductions go through
-    one batched ``eigh``, and each of the three outcome tables is one
-    contraction over the stack on its fixed plan (``_QUANTUM_PATHS``,
-    ``_QUASI_PATHS``, ``_HIDDEN_PATH``), so no path is searched.  Every
-    check that the single-object path makes runs on every scenario: the
-    containers' ``_stack`` constructors run their checks once over the
-    stack and build each result's containers from locked slices of it.
+    the outcome values are read from the first, so the prepared state and
+    its z-recording for the hidden run are computed once.  The callers are
+    ``run_bell`` (one scenario) and ``_setting_grid`` (one pair and options
+    for the whole grid).  The engine composes the library's cores over a
+    stack with one entry per scenario: ``_evolve`` applies the couplings,
+    ``_checked_eigh`` decomposes every pointer reduction in one call, each
+    outcome table is one contraction on its fixed plan (``_QUANTUM_PATHS``,
+    ``_QUASI_PATHS``, ``_HIDDEN_PATH``), so no path is searched, and the
+    containers' ``_stack`` constructors check the whole stack at once with
+    the checks and messages of each result's containers alone.
     """
     first = scenarios[0]
     n = len(scenarios)
@@ -374,7 +360,8 @@ def _run_batch(scenarios) -> list:
     # both supports list the particle before its pointer, the couplings' order
     u1 = _device_couplings([s.theta1 for s in scenarios])
     u2 = _device_couplings([s.theta2 for s in scenarios])
-    psi_q = _evolve(psi0.tensor_view()[None], (u1, u2), (p1m1, p2m2))
+    angled = [(u1, p1m1.axes), (u2, p2m2.axes)]
+    psi_q = _evolve(psi0.tensor_view()[None], angled)
     reduced = [
         _pure_reductions(psi_q.reshape(n, -1), comp.dims, m.axes) for m in (m1, m2)
     ]
@@ -383,21 +370,13 @@ def _run_batch(scenarios) -> list:
         d3 = MeasurementDevice.from_basis(
             DEVICE_3, np.eye(2, dtype=complex), _POINTER_DIM, _READY, _POINTERS
         )
-        psi3 = apply(build_measurement_unitary(d3, comp.subset([PARTICLE_1])), psi0)
-        psi_h = _evolve(psi3.tensor_view()[None], (u1, u2), (p1m1, p2m2))
+        u3 = build_measurement_unitary(d3, comp.subset([PARTICLE_1]))
+        psi_h = _evolve(psi0.tensor_view()[None], [(u3.matrix, u3.support.axes)] + angled)
         reduced += [
             _pure_reductions(psi_h.reshape(n, -1), comp.dims, m.axes)
             for m in (m3, m1, m2)
         ]
-    try:
-        rhos = np.concatenate(reduced)
-        _check_density(rhos)
-        w, v, degenerate = _canonical_eigh(rhos, DEFAULT_TOLERANCE)
-        _check_eigen_floor(w)
-    except ValidationError as exc:
-        raise NumericalInvariantError(
-            f"partial trace produced an invalid matrix: {exc}"
-        ) from exc
+    w, v, degenerate = _checked_eigh(np.concatenate(reduced), DEFAULT_TOLERANCE)
     # axis 0: quantum M1, M2, then hidden M3, M1, M2; axis 1: scenario
     w = w.reshape(len(reduced), n, _POINTER_DIM)
     v = v.reshape(len(reduced), n, _POINTER_DIM, _POINTER_DIM)
@@ -575,23 +554,6 @@ def chsh(
         a, b, (a1, a2), (b1, b2), model == "hidden", outcome_values
     )
     return _grid_chsh(grid, model, 1, 1)
-
-
-def chsh_at_point(
-    a: complex,
-    b: complex,
-    theta1: float,
-    theta2: float,
-    model: str = "quantum",
-    outcome_values=(1.0, -1.0),
-) -> float:
-    """CHSH value attached to one angle pair: settings (0, theta1 | 0, theta2).
-
-    The z axis serves as the shared reference setting on both sides, so the
-    value varies over a (theta1, theta2) grid and exceeds 2 exactly where
-    the pair's statistics admit no factorizing account.
-    """
-    return chsh(a, b, (0.0, theta1, 0.0, theta2), model, outcome_values)
 
 
 def sweep(

@@ -13,10 +13,6 @@ class OverlappingSystemsError(ValidationError):
     """
 
 
-class UndefinedConditionalError(ValidationError):
-    """Raised when conditioning on an outcome of zero marginal probability."""
-
-
 class NumericalInvariantError(RuntimeError):
     """Raised when an internally computed quantity breaks a numerical invariant.
 

@@ -8,6 +8,9 @@ always agree on axis layout.
 
 Everything is dense.  The total dimension is capped at 2**14; the
 ``QRS_MAX_DIM`` environment variable may lower the cap but never raise it.
+
+Evolution has one core for a stack of states, ``_evolve``, which ``apply``
+runs on a stack of one; reductions of pure states have ``_pure_reductions``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -98,9 +101,6 @@ class CompositeSystem:
 
     def subset(self, members: Iterable[str]) -> "SubsystemSet":
         return SubsystemSet(self, frozenset(members))
-
-    def full_set(self) -> "SubsystemSet":
-        return SubsystemSet(self, frozenset(self.labels))
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,8 @@ def _lock(arr: np.ndarray) -> np.ndarray:
 def _frozen(cls, **fields):
     """A ``cls`` instance holding ``fields`` as given, without ``__post_init__``.
 
-    For stacked constructors, whose checks have already run on every member.
+    For results whose checks have already run: the members of a stacked
+    constructor, and the states ``_evolve`` has checked and normalized.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
@@ -224,9 +225,6 @@ class PureState:
     def tensor_view(self) -> np.ndarray:
         """Read-only view shaped with one axis per subsystem."""
         return self.amplitudes.reshape(self.system.dims)
-
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,22 +270,14 @@ def _check_eigen_floor(eigenvalues: np.ndarray) -> None:
         )
 
 
-_OPERATOR_KINDS = ("unitary", "projector", "general")
-
-
 @dataclass(frozen=True, eq=False)
 class LocalOperator:
-    """Square operator acting on a subsystem set, in canonical factor order."""
+    """Unitary operator acting on a subsystem set, in canonical factor order."""
 
     support: SubsystemSet
     matrix: np.ndarray
-    kind: str = "general"
 
     def __post_init__(self):
-        if self.kind not in _OPERATOR_KINDS:
-            raise ValidationError(
-                f"operator kind {self.kind!r} not in {_OPERATOR_KINDS}"
-            )
         mat = np.asarray(self.matrix, dtype=complex)
         d = self.support.joint_dim
         if mat.shape != (d, d):
@@ -296,16 +286,7 @@ class LocalOperator:
             )
         if not np.all(np.isfinite(mat)):
             raise ValidationError("operator entries must be finite")
-        if self.kind == "unitary":
-            _check_unitary(mat)
-        elif self.kind == "projector":
-            dev_h = float(np.max(np.abs(mat - mat.conj().T)))
-            dev_i = float(np.max(np.abs(mat @ mat - mat)))
-            if max(dev_h, dev_i) > UNITARY_ATOL:
-                raise ValidationError(
-                    "matrix is not a projector: Hermiticity/idempotence deviation "
-                    f"{max(dev_h, dev_i):.3e} > {UNITARY_ATOL}"
-                )
+        _check_unitary(mat)
         object.__setattr__(self, "matrix", _lock(mat.copy()))
 
 
@@ -345,89 +326,45 @@ def permute_operator_factors(mat: np.ndarray, dims: Sequence[int], perm: Sequenc
 # ---------------------------------------------------------------------------
 # operations
 
-def tensor(a: PureState, b: PureState) -> PureState:
-    """Tensor product; the result's subsystem order is a's then b's.
-
-    Label collisions are rejected (composite labels must stay unique).
-    """
-    combined = CompositeSystem(a.system.subsystems + b.system.subsystems)
-    return PureState(combined, np.kron(a.amplitudes, b.amplitudes))
-
-
-def embed(op: LocalOperator, target: CompositeSystem) -> np.ndarray:
-    """Lift ``op`` to the full ``target`` space by identity padding.
-
-    The support's factor order inside ``op.matrix`` is the canonical order of
-    the operator's own parent; axes are permuted into the target layout, so
-    the result is independent of where the support labels sit in the
-    declaration.
-    """
-    sup_labels = op.support.labels
-    for lbl in sup_labels:
-        if lbl not in target.labels:
-            raise ValidationError(f"support label {lbl!r} is not part of the target")
-        if target.dim_of(lbl) != op.support.parent.dim_of(lbl):
-            raise ValidationError(
-                f"dimension mismatch for {lbl!r}: operator support has "
-                f"{op.support.parent.dim_of(lbl)}, target has {target.dim_of(lbl)}"
-            )
-    rest = [l for l in target.labels if l not in op.support.members]
-    rest_dim = math.prod(target.dim_of(l) for l in rest) if rest else 1
-    big = np.kron(op.matrix, np.eye(rest_dim))
-    src_order = list(sup_labels) + rest
-    dims_src = [target.dim_of(l) for l in src_order]
-    perm = [src_order.index(l) for l in target.labels]
-    return permute_operator_factors(big, dims_src, perm)
-
-
 def apply(op: LocalOperator, state: PureState) -> PureState:
-    """Apply a unitary local operator to a state (norm-preserving evolution)."""
-    if op.kind != "unitary":
-        raise ValidationError(
-            f"apply requires an operator of kind 'unitary', got {op.kind!r}"
-        )
+    """Apply a local unitary to a state (norm-preserving evolution)."""
     system = state.system
-    sup_labels = op.support.labels
     positions = []
-    for lbl in sup_labels:
+    for lbl in op.support.labels:
         if lbl not in system.labels:
             raise ValidationError(f"support label {lbl!r} is not part of the state")
         if system.dim_of(lbl) != op.support.parent.dim_of(lbl):
             raise ValidationError(f"dimension mismatch for {lbl!r}")
         positions.append(system.axis(lbl))
-    out = _apply_matrices(op.matrix, state.tensor_view()[None], positions).reshape(-1)
-    _checked_norms(out)
-    return PureState(system, out)
+    out = _evolve(state.tensor_view()[None], [(op.matrix, positions)])
+    return _frozen(PureState, system=system, amplitudes=_lock(out.reshape(-1)))
 
 
-def _apply_matrices(matrices: np.ndarray, tensors: np.ndarray, positions) -> np.ndarray:
-    """Apply square operators to the ``positions`` subsystem axes of stacked states.
+def _evolve(tensors: np.ndarray, steps) -> np.ndarray:
+    """Stacked states after each (matrices, positions) step of ``steps``, in order.
 
-    ``tensors`` has a leading stack axis, then one axis per subsystem;
-    ``matrices`` is one operator in the support's factor order, or a stack
-    of them that broadcasts against the state stack.
-    """
-    axes = [1 + p for p in positions]
-    front = range(1, 1 + len(axes))
-    moved = np.moveaxis(tensors, axes, front)
-    out = matrices @ moved.reshape(moved.shape[0], matrices.shape[-1], -1)
-    return np.moveaxis(out.reshape(out.shape[:1] + moved.shape[1:]), front, axes)
-
-
-def _checked_norms(amps: np.ndarray) -> np.ndarray:
-    """Norms along the last axis, after checking that evolution kept them at 1.
-
+    ``tensors`` has a leading stack axis, then one axis per subsystem.  A
+    step applies one operator in its support's factor order, or a stack of
+    them that broadcasts against the states, to the ``positions`` axes; then
+    each state is checked to have kept norm 1 and is divided by its norm.
     The squared norms are row-by-column ``matmul`` products, the dot
-    products ``np.linalg.norm`` sums, so a stacked run normalizes as one
-    ``PureState`` does.
+    products ``np.linalg.norm`` sums, so a stack evolves as each of its
+    states would alone, and normalizes as ``PureState`` does.
     """
-    re = amps.real[..., None, :]
-    im = amps.imag[..., None, :]
-    norms = np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
-    drift = float(np.max(np.abs(norms - 1.0)))
-    if drift > 1e-12:
-        raise NumericalInvariantError(f"unitary application drifted the norm by {drift:.3e}")
-    return norms
+    for matrices, positions in steps:
+        axes = [1 + p for p in positions]
+        front = range(1, 1 + len(axes))
+        moved = np.moveaxis(tensors, axes, front)
+        out = matrices @ moved.reshape(len(moved), matrices.shape[-1], -1)
+        out = np.moveaxis(out.reshape(out.shape[:1] + moved.shape[1:]), front, axes)
+        flat = out.reshape(len(out), -1)
+        re, im = flat.real[:, None, :], flat.imag[:, None, :]
+        norms = np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0])
+        drift = float(np.max(np.abs(norms - 1.0)))
+        if not drift <= 1e-12:
+            raise NumericalInvariantError(f"unitary application drifted the norm by {drift:.3e}")
+        tensors = (flat / norms[:, None]).reshape(out.shape)
+    return tensors
 
 
 def _pure_reductions(amps: np.ndarray, dims, keep_axes) -> np.ndarray:
@@ -447,43 +384,20 @@ def _pure_reductions(amps: np.ndarray, dims, keep_axes) -> np.ndarray:
     return m @ m.conj().swapaxes(-1, -2)
 
 
-def partial_trace(state: Union[PureState, DensityMatrix], keep) -> DensityMatrix:
+def partial_trace(state: PureState, keep) -> DensityMatrix:
     """Trace out everything outside ``keep``, returning the reduced matrix.
 
     ``keep`` may be a SubsystemSet or an iterable of labels; it must be a
     non-empty subset of the state's labels.  Keeping every label returns the
-    full projector (pure input) or the input matrix itself.
+    state's projector.
     """
-    if isinstance(state, PureState):
-        parent = state.system
-        keep_set = as_subsystem_set(keep, parent)
-        rho = _pure_reductions(state.amplitudes, parent.dims, keep_set.axes)
-        out_system = SubsystemSet(parent, keep_set.members)
-    elif isinstance(state, DensityMatrix):
-        source = state.system
-        parent = source.parent
-        keep_set = as_subsystem_set(keep, parent)
-        if not keep_set.members <= source.members:
-            raise ValidationError(
-                f"keep set {keep_set.label!r} is not contained in {source.label!r}"
-            )
-        labels = source.labels
-        dims = source.dims
-        n = len(labels)
-        keep_axes = [i for i, l in enumerate(labels) if l in keep_set.members]
-        traced_axes = [i for i in range(n) if i not in keep_axes]
-        dk = math.prod(dims[i] for i in keep_axes)
-        dt = math.prod(dims[i] for i in traced_axes) if traced_axes else 1
-        order = keep_axes + traced_axes
-        axes = order + [n + i for i in order]
-        t = state.matrix.reshape(dims + dims).transpose(axes).reshape(dk, dt, dk, dt)
-        rho = np.einsum("atbt->ab", t)
-        out_system = SubsystemSet(parent, keep_set.members)
-    else:
+    if not isinstance(state, PureState):
         raise ValidationError(
-            f"partial_trace expects a PureState or DensityMatrix, got {type(state).__name__}"
+            f"partial_trace expects a PureState, got {type(state).__name__}"
         )
+    keep_set = as_subsystem_set(keep, state.system)
+    rho = _pure_reductions(state.amplitudes, state.system.dims, keep_set.axes)
     try:
-        return DensityMatrix(out_system, rho)
+        return DensityMatrix(keep_set, rho)
     except ValidationError as exc:  # internally produced matrix must be valid
         raise NumericalInvariantError(f"partial trace produced an invalid matrix: {exc}") from exc

@@ -225,7 +225,7 @@ def build_measurement_unitary(
     dims = [parent.dim_of(l) for l in built_order]
     perm = [built_order.index(l) for l in canonical]
     matrix = permute_operator_factors(u, dims, perm)
-    return LocalOperator(support=support, matrix=matrix, kind="unitary")
+    return LocalOperator(support=support, matrix=matrix)
 
 
 def spin_basis(theta) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Reference-dependent states and multi-system outcome statistics.
 
 The state of a system S relative to a reference R containing it is the
-reduced matrix of R's state vector over S.  Joint outcome probabilities for
-pairwise-disjoint systems are traces of products of possible-internal-state
-projectors against the whole system's matrix; because disjoint projectors
-commute, those traces are real and non-negative and form a proper
-distribution.
+reduced matrix of R's state vector over S.  Every query takes its ensembles
+from one reduction core, ``_pure_reductions`` and then the checked canonical
+``eigh`` of ``schmidt``, which the Bell engine runs on whole stacks.  Joint
+outcome probabilities for pairwise-disjoint systems are traces of products
+of possible-internal-state projectors against the whole system's matrix;
+because disjoint projectors commute, those traces are real and non-negative
+and form a proper distribution.
 
 For overlapping systems the same projector product can still be evaluated
 formally (``formal_joint``).  The result is generally complex or negative,
@@ -31,12 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NumericalInvariantError,
-    OverlappingSystemsError,
-    UndefinedConditionalError,
-    ValidationError,
-)
+from .errors import NumericalInvariantError, OverlappingSystemsError, ValidationError
 from .hilbert import (
     CompositeSystem,
     DensityMatrix,
@@ -45,9 +42,16 @@ from .hilbert import (
     as_subsystem_set,
     _frozen,
     _lock,
+    _pure_reductions,
     partial_trace,
 )
-from .schmidt import DEFAULT_TOLERANCE, InternalStateEnsemble, possible_internal_states
+from .schmidt import (
+    DEFAULT_TOLERANCE,
+    InternalStateEnsemble,
+    _checked_eigh,
+    _ensembles,
+    _validate_tolerance,
+)
 
 _REALNESS_ATOL = 1e-10
 _CLIP_FLOOR = -1e-9
@@ -94,18 +98,19 @@ def _checked_joint(systems, ensembles, tables) -> np.ndarray:
         raise NumericalInvariantError("systems and ensembles are misaligned")
     _check_table_shapes(ensembles, tables)
     axes = tuple(range(1, tables.ndim))
+    # every check is written so that NaN fails it
     lows = tables.min(axis=axes, initial=0.0)
-    bad = lows < _CLIP_FLOOR
+    bad = ~(lows >= _CLIP_FLOOR)
     if bad.any():
         raise NumericalInvariantError(
             f"probability entry {float(lows[bad.argmax()]):.3e} below the clip floor "
             f"{_CLIP_FLOOR}"
         )
-    if np.any(tables.max(axis=axes, initial=0.0) > 1.0 + _TABLE_ATOL):
+    if not np.all(tables.max(axis=axes, initial=0.0) <= 1.0 + _TABLE_ATOL):
         raise NumericalInvariantError("probability entry above 1")
     tables = np.clip(tables, 0.0, 1.0)
     totals = tables.sum(axis=axes)
-    bad = np.abs(totals - 1.0) > _TABLE_ATOL
+    bad = ~(np.abs(totals - 1.0) <= _TABLE_ATOL)
     if bad.any():
         raise NumericalInvariantError(
             f"table sums to {float(totals[bad.argmax()])!r}, not 1 within {_TABLE_ATOL}"
@@ -114,7 +119,7 @@ def _checked_joint(systems, ensembles, tables) -> np.ndarray:
         marg = tables.sum(axis=tuple(a for a in axes if a != i + 1))
         eigenvalues = np.stack([m[i].eigenvalues for m in ensembles])
         devs = np.max(np.abs(marg - eigenvalues), axis=-1)
-        bad = devs > _TABLE_ATOL
+        bad = ~(devs <= _TABLE_ATOL)
         if bad.any():
             raise NumericalInvariantError(
                 f"axis {i} marginal deviates from the ensemble probabilities by "
@@ -160,10 +165,6 @@ class JointDistribution:
             for members, table in zip(ensembles, tables)
         ]
 
-    def marginal(self, i: int) -> np.ndarray:
-        axes = tuple(a for a in range(self.table.ndim) if a != i)
-        return self.table.sum(axis=axes)
-
     def to_json_dict(self) -> dict:
         return {
             "systems": [s.label for s in self.systems],
@@ -194,7 +195,7 @@ class QuasiDistribution:
     def __post_init__(self):
         systems = tuple(self.systems)
         ensembles = tuple(self.ensembles)
-        table = np.asarray(self.table, dtype=complex)
+        table = np.array(self.table, dtype=complex)
         _check_quasi([ensembles], table[None])
         object.__setattr__(self, "systems", systems)
         object.__setattr__(self, "ensembles", ensembles)
@@ -349,6 +350,17 @@ def _real_table(raw: np.ndarray) -> np.ndarray:
     return raw.real
 
 
+def _possible_internal_states(psi: PureState, system: SubsystemSet, tolerance: float):
+    """Possible internal states of ``system`` relative to the whole of ``psi``.
+
+    The same ensemble ``possible_internal_states`` gives for the reduced
+    matrix, from the one reduction core, with no ``DensityMatrix`` built.
+    """
+    rho = _pure_reductions(psi.amplitudes, psi.system.dims, system.axes)
+    w, v, degenerate = _checked_eigh(rho[None], tolerance)
+    return _ensembles(system, w, v, tolerance, degenerate)[0]
+
+
 def _coerce_systems(systems, psi: PureState) -> tuple:
     coerced = tuple(as_subsystem_set(s, psi.system) for s in systems)
     if not coerced:
@@ -383,47 +395,12 @@ def joint_probability(
                 "joint probabilities need pairwise-disjoint systems "
                 "(formal_joint evaluates overlapping queries)"
             )
-    ensembles = tuple(
-        possible_internal_states(partial_trace(psi, s), tolerance) for s in coerced
-    )
+    tolerance = _validate_tolerance(tolerance)
+    ensembles = tuple(_possible_internal_states(psi, s, tolerance) for s in coerced)
     raw = _projector_product_table(
         psi.tensor_view(), coerced, [e.vectors for e in ensembles]
     )
     return JointDistribution(systems=coerced, ensembles=ensembles, table=_real_table(raw))
-
-
-def conditional_probability(dist: JointDistribution, given) -> np.ndarray:
-    """Distribution over the remaining axes given one system's outcome.
-
-    ``given`` is a (system_index, state_index) pair.  Conditioning on an
-    outcome of zero marginal probability is undefined and rejected.
-    """
-    if not isinstance(dist, JointDistribution):
-        raise ValidationError("conditional_probability expects a JointDistribution")
-    try:
-        sys_index, state_index = (int(v) for v in given)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            "given must be a (system_index, state_index) pair"
-        ) from None
-    ndim = dist.table.ndim
-    if not 0 <= sys_index < ndim:
-        raise ValidationError(f"system index {sys_index} out of range for {ndim} systems")
-    if not 0 <= state_index < dist.table.shape[sys_index]:
-        raise ValidationError(
-            f"state index {state_index} out of range for axis of size "
-            f"{dist.table.shape[sys_index]}"
-        )
-    if ndim < 2:
-        raise ValidationError("conditioning needs at least two systems")
-    sliced = np.take(dist.table, state_index, axis=sys_index)
-    weight = float(sliced.sum())
-    if weight <= 0.0:
-        raise UndefinedConditionalError(
-            f"outcome {state_index} of system {sys_index} has zero probability; "
-            "the conditional is undefined"
-        )
-    return sliced / weight
 
 
 def formal_joint(
@@ -452,7 +429,8 @@ def formal_joint(
     ensembles = []
     for s, override in zip(coerced, bases):
         if override is None:
-            ensembles.append(possible_internal_states(partial_trace(psi, s), tolerance))
+            tolerance = _validate_tolerance(tolerance)
+            ensembles.append(_possible_internal_states(psi, s, tolerance))
         else:
             if not isinstance(override, InternalStateEnsemble):
                 raise ValidationError("basis overrides must be InternalStateEnsemble values")

@@ -14,18 +14,18 @@ fixed so its largest-magnitude component is real and positive.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalInvariantError, ValidationError
 from .hilbert import (
-    CompositeSystem,
     DensityMatrix,
     PureState,
     SubsystemSet,
     as_subsystem_set,
+    _check_density,
+    _check_eigen_floor,
     _frozen,
     _lock,
     permute_vector_factors,
@@ -72,19 +72,20 @@ def _checked_ensembles(d: int, vals, vecs, tolerance, negligible) -> tuple:
             f"vector matrix shape {vecs.shape[1:]} does not match "
             f"(dimension {d}, {n} states)"
         )
-    if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
+    # every check is written so that NaN fails it
+    if not np.all((vals >= -1e-12) & (vals <= 1.0 + 1e-12)):
         raise ValidationError("eigenvalues must lie in [0, 1]")
     if np.any(np.diff(vals) > 1e-12):
         raise ValidationError("eigenvalues must be in descending order")
     sums = vals.sum(axis=-1)
-    bad = np.abs(sums - 1.0) > _ENSEMBLE_ATOL
+    bad = ~(np.abs(sums - 1.0) <= _ENSEMBLE_ATOL)
     if bad.any():
         raise ValidationError(
             f"eigenvalues sum to {float(sums[bad.argmax()])!r}, not 1 within {_ENSEMBLE_ATOL}"
         )
     gram = vecs.conj().swapaxes(-1, -2) @ vecs
     devs = np.max(np.abs(gram - np.eye(n)), axis=(-2, -1))
-    bad = devs > _ENSEMBLE_ATOL
+    bad = ~(devs <= _ENSEMBLE_ATOL)
     if bad.any():
         raise ValidationError(
             f"state vectors are not orthonormal: deviation {devs[bad.argmax()]:.3e}"
@@ -152,10 +153,6 @@ class InternalStateEnsemble:
             for i in range(len(vals))
         ]
 
-    def projector(self, k: int) -> np.ndarray:
-        v = self.vectors[:, k]
-        return np.outer(v, v.conj())
-
 
 def possible_internal_states(
     rho: DensityMatrix, tolerance: float = DEFAULT_TOLERANCE
@@ -207,6 +204,24 @@ def _canonical_eigh(matrices: np.ndarray, tolerance: float) -> tuple:
                 _, rot = np.linalg.eigh(projected)
                 v[group, :, lo:hi] = block @ rot
     v, _ = _fix_phases(v)
+    return w, v, degenerate
+
+
+def _checked_eigh(rhos: np.ndarray, tolerance: float) -> tuple:
+    """``_canonical_eigh`` of a stack of internally computed reductions.
+
+    The reductions get ``DensityMatrix``'s checks, its floor on the
+    eigenvalues ``eigh`` returns; a failure is the library's own, so it
+    raises ``NumericalInvariantError``.
+    """
+    try:
+        _check_density(rhos)
+        w, v, degenerate = _canonical_eigh(rhos, tolerance)
+        _check_eigen_floor(w)
+    except ValidationError as exc:
+        raise NumericalInvariantError(
+            f"partial trace produced an invalid matrix: {exc}"
+        ) from exc
     return w, v, degenerate
 
 

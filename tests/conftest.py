@@ -98,6 +98,24 @@ def brute_partial_trace(amps, dims, keep_axes):
     return rho
 
 
+def kron_embedded(matrix, dims, support_axes):
+    """Full-space matrix of an operator on the ``support_axes`` factors.
+
+    ``matrix`` acts on those factors in the order listed.  ``np.kron`` pads
+    it with the identity on the other factors, which puts the support first,
+    and a plain transpose of its row and column axes moves every factor
+    back to its declared slot.
+    """
+    n = len(dims)
+    rest = [ax for ax in range(n) if ax not in support_axes]
+    order = list(support_axes) + rest
+    rest_dim = int(np.prod([dims[ax] for ax in rest]))
+    big = np.kron(matrix, np.eye(rest_dim)).reshape([dims[ax] for ax in order] * 2)
+    back = [order.index(ax) for ax in range(n)]
+    total = int(np.prod(dims))
+    return big.transpose(back + [n + p for p in back]).reshape(total, total)
+
+
 # ---------------------------------------------------------------------------
 # correlation-experiment closed forms
 #

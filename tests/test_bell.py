@@ -17,7 +17,6 @@ from qrsim import (
     ValidationError,
     build_bell_state,
     chsh,
-    chsh_at_point,
     run_bell,
     sample_joint_outcomes,
     sample_outcome_indices,
@@ -331,7 +330,7 @@ class TestChsh:
         for _ in range(6):
             t1, t2 = rng.uniform(0.0, 2 * math.pi, size=2)
             want = -1.0 + math.cos(t2) - math.cos(t1) - math.cos(t1 - t2)
-            got = chsh_at_point(INV_SQRT2, INV_SQRT2, t1, t2, model="quantum")
+            got = chsh(INV_SQRT2, INV_SQRT2, (0.0, t1, 0.0, t2), model="quantum")
             assert got == pytest.approx(want, abs=1e-9)
 
 

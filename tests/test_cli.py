@@ -3,6 +3,7 @@
 import importlib.metadata
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -18,13 +19,20 @@ from numpy.testing import assert_allclose
 
 import qrsim.bell
 import qrsim.cli
-from qrsim import SWEEP_HEADER, CompositeSystem, PureState, chsh, chsh_at_point, joint_probability
+from qrsim import SWEEP_HEADER, CompositeSystem, PureState, chsh, joint_probability
 from qrsim.cli import main
 
 INV_SQRT2 = 0.7071067811865476
 HUGE = 10 ** 400  # a JSON integer literal that no float can hold
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def run_python(*args, **kwargs):
+    """``python *args`` importing the same ``qrsim`` as this process does."""
+    search = [str(Path(qrsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search))}
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, **kwargs)
 
 
 def run_cli(capsys, *argv):
@@ -570,7 +578,7 @@ class TestBellCommand:
         _, out, _ = run_cli(capsys, "bell", *coeffs, "--theta1", "2.1", "--theta2", "4.4")
         point = json.loads(out)
         for model in ("quantum", "hidden"):
-            want = chsh_at_point(a, b, 2.1, 4.4, model)
+            want = chsh(a, b, (0.0, 2.1, 0.0, 4.4), model)
             assert point[f"S_{model}"] == pytest.approx(want, abs=1e-12)
         angles = (0.0, 1.5707963, 0.7853982, 2.3561945)
         _, out, _ = run_cli(
@@ -744,9 +752,9 @@ class TestDeterminism:
         assert out1 == out2 and err1 == err2
 
     def test_module_invocation_is_byte_identical(self):
-        cmd = [sys.executable, "-m", "qrsim.cli", "bell", "--sweep", "4"]
-        r1 = subprocess.run(cmd, capture_output=True)
-        r2 = subprocess.run(cmd, capture_output=True)
+        cmd = ["-m", "qrsim.cli", "bell", "--sweep", "4"]
+        r1 = run_python(*cmd)
+        r2 = run_python(*cmd)
         assert r1.returncode == 0
         assert r1.stdout == r2.stdout
         assert r1.stdout.startswith(b"theta1,theta2,")
@@ -767,9 +775,7 @@ class TestDeterminism:
             'import sys; sys.argv[0] = "qrsim"; '
             f"from {module} import {attr}; sys.exit({attr}())"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", wrapper, "--help"], capture_output=True, text=True
-        )
+        result = run_python("-c", wrapper, "--help", text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("usage: qrsim")
         listed = re.search(r"\{([^}]*)\}", result.stdout).group(1).split(",")

@@ -18,7 +18,6 @@ from qrsim import (
     possible_internal_states,
     sample_outcome_indices,
     spin_basis,
-    tensor,
 )
 from qrsim.measurement import _coupling_matrix
 
@@ -106,8 +105,11 @@ class TestCouplingUnitary:
         pair = CompositeSystem([("A", 2), ("B", 3)])
         psi_ab = PureState(pair, random_amplitudes(rng, 6))
         ens = possible_internal_states(partial_trace(psi_ab, "A"))
-        ready = PureState(CompositeSystem([("M", 3)]), [1.0, 0.0, 0.0])
-        psi = tensor(psi_ab, ready)
+        # the pointer M starts at its ready position 0
+        psi = PureState(
+            CompositeSystem([("A", 2), ("B", 3), ("M", 3)]),
+            np.kron(psi_ab.amplitudes, [1.0, 0.0, 0.0]),
+        )
         dev = MeasurementDevice.from_basis("M", ens.vectors)
         op = build_measurement_unitary(dev, psi.system.subset(["A"]))
         before = partial_trace(psi, "A").matrix
@@ -220,7 +222,7 @@ class TestSpinBasis:
 
 class TestSampling:
     def setup_method(self):
-        sub = CompositeSystem([("A", 2)]).full_set()
+        sub = CompositeSystem([("A", 2)]).subset(["A"])
         self.ens = InternalStateEnsemble(sub, [0.64, 0.36], np.eye(2))
         self.certain = InternalStateEnsemble(sub, [1.0, 0.0], np.eye(2))
 

@@ -26,11 +26,9 @@ from qrsim import (
     OverlappingSystemsError,
     PureState,
     QuasiDistribution,
-    UndefinedConditionalError,
     ValidationError,
     apply,
     comparability,
-    conditional_probability,
     formal_joint,
     joint_probability,
     partial_trace,
@@ -165,7 +163,7 @@ class TestStateOf:
         before = state_of("S1", ["S1", "S2"], psi).matrix
         for _ in range(10):
             u = random_unitary(rng, 2)
-            op = LocalOperator(psi.system.subset(["S2"]), u, kind="unitary")
+            op = LocalOperator(psi.system.subset(["S2"]), u)
             after = state_of("S1", ["S1", "S2"], apply(op, psi)).matrix
             assert_allclose(after, before, atol=1e-13)
 
@@ -210,7 +208,7 @@ class TestJointProbability:
         comp = make_composite((2, 3))
         amps = np.kron(random_amplitudes(rng, 2), random_amplitudes(rng, 3))
         dist = joint_probability(["S1", "S2"], PureState(comp, amps))
-        assert_allclose(dist.table, np.outer(dist.marginal(0), dist.marginal(1)), atol=1e-12)
+        assert_allclose(dist.table, np.outer(dist.table.sum(1), dist.table.sum(0)), atol=1e-12)
 
     def test_basic_table_properties(self):
         rng = np.random.default_rng(64)
@@ -219,8 +217,8 @@ class TestJointProbability:
         dist = joint_probability([["S1"], ["S2", "S3"]], psi)
         assert dist.table.min() >= 0.0
         assert abs(dist.table.sum() - 1.0) < 1e-9
-        for i, ens in enumerate(dist.ensembles):
-            assert_allclose(dist.marginal(i), ens.eigenvalues, atol=1e-9)
+        assert_allclose(dist.table.sum(1), dist.ensembles[0].eigenvalues, atol=1e-9)
+        assert_allclose(dist.table.sum(0), dist.ensembles[1].eigenvalues, atol=1e-9)
 
     def test_overlap_is_rejected_with_a_pointer_to_formal_joint(self):
         rng = np.random.default_rng(65)
@@ -232,42 +230,6 @@ class TestJointProbability:
     def test_empty_tuple_rejected(self):
         with pytest.raises(ValidationError):
             joint_probability([], correlated_pair())
-
-
-class TestConditionalProbability:
-    def test_perfect_correlation_gives_point_mass(self):
-        dist = joint_probability(["S1", "S2"], correlated_pair())
-        assert_allclose(conditional_probability(dist, (0, 0)), [1.0, 0.0], atol=1e-9)
-        assert_allclose(conditional_probability(dist, (1, 1)), [0.0, 1.0], atol=1e-9)
-
-    def test_product_state_conditional_equals_marginal(self):
-        rng = np.random.default_rng(71)
-        comp = make_composite((2, 3))
-        amps = np.kron(random_amplitudes(rng, 2), random_amplitudes(rng, 3))
-        dist = joint_probability(["S1", "S2"], PureState(comp, amps))
-        cond = conditional_probability(dist, (0, 0))
-        assert_allclose(cond, dist.marginal(1), atol=1e-10)
-        assert abs(cond.sum() - 1.0) < 1e-12
-
-    def test_zero_probability_outcome_is_undefined(self):
-        comp = make_composite((2, 2))
-        plus = np.array([1.0, 1.0]) / np.sqrt(2)
-        psi = PureState(comp, np.kron([1.0, 0.0], plus))
-        dist = joint_probability(["S1", "S2"], psi)
-        with pytest.raises(UndefinedConditionalError, match="zero probability"):
-            conditional_probability(dist, (0, 1))
-
-    def test_argument_validation(self):
-        dist = joint_probability(["S1", "S2"], correlated_pair())
-        with pytest.raises(ValidationError, match="out of range"):
-            conditional_probability(dist, (5, 0))
-        with pytest.raises(ValidationError, match="out of range"):
-            conditional_probability(dist, (0, 5))
-        with pytest.raises(ValidationError, match="pair"):
-            conditional_probability(dist, "S1")
-        single = joint_probability(["S1"], correlated_pair())
-        with pytest.raises(ValidationError, match="two systems"):
-            conditional_probability(single, (0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +417,7 @@ class TestComparability:
 class TestDistributionContainers:
     def setup_method(self):
         comp = CompositeSystem([("A", 2)])
-        self.sub = comp.full_set()
+        self.sub = comp.subset(["A"])
         self.ens = InternalStateEnsemble(self.sub, [1.0, 0.0], np.eye(2))
 
     def test_rounding_noise_is_clipped_to_zero(self):
@@ -473,6 +435,19 @@ class TestDistributionContainers:
             JointDistribution((self.sub,), (self.ens,), np.array([0.5, 0.5]))
         with pytest.raises(NumericalInvariantError, match="shape"):
             JointDistribution((self.sub,), (self.ens,), np.array([1.0, 0.0, 0.0]))
+
+    def test_nan_entries_fail(self):
+        with pytest.raises(NumericalInvariantError, match="floor"):
+            JointDistribution((self.sub,), (self.ens,), [np.nan, 0.0])
+        with pytest.raises(NumericalInvariantError, match="floor"):
+            JointDistribution((self.sub,), (self.ens,), [1.0, np.nan])
+
+    def test_quasi_table_is_a_copy(self):
+        table = np.array([1.0 + 0.0j, 0.0])
+        quasi = QuasiDistribution((self.sub,), (self.ens,), table)
+        table[0] = 2
+        assert quasi.table[0] == 1.0
+        assert not quasi.table.flags.writeable
 
     def test_quasi_entries_survive_verbatim(self):
         table = np.array([1.1 - 0.2j, -0.1 + 0.2j])
@@ -546,7 +521,7 @@ class TestStackedDistributions:
                 assert not stacked.table.flags.writeable
         assert joints[1].table[-1, 0] == 0.0
 
-    @pytest.mark.parametrize("corruption", ["floor", "above one", "sum", "marginal"])
+    @pytest.mark.parametrize("corruption", ["floor", "above one", "sum", "marginal", "nan"])
     def test_a_corrupt_joint_member_raises_its_single_error(self, corruption):
         table = self.tables[self.BAD]
         if corruption == "floor":
@@ -555,6 +530,8 @@ class TestStackedDistributions:
             table[0, 0] = 1.5
         elif corruption == "sum":
             table *= 0.99
+        elif corruption == "nan":
+            table[1, 0] = np.nan
         else:
             table[:] = table[::-1].copy()
         self.assert_same_error(
