@@ -16,11 +16,12 @@ vector:
 CHSH values are read off one grid of runs over the settings they involve.
 The grid hands its distinct settings to one batched engine, which prepares
 the pair once, stacks every setting's devices along a leading axis and
-computes all of their tables in one pass; ``run_bell`` is that engine's
-batch of one, so a setting gives the same result either way.  Nothing in
-the engine is paid per setting: each table is contracted on a fixed plan
-(the path greedy search picks for that network at every stack size), and
-the result containers check the whole stack at once.
+computes all of their tables in one pass.  The engine returns columns of
+numbers, one row per setting, checked once per stack with the containers'
+own checks; the grid keeps the columns that CHSH values, sweeps and the
+command line read.  ``run_bell`` is the engine's batch of one and the only
+place result containers are built, so a setting gives the same numbers
+either way.
 
 Outcome indexing everywhere: index 0 is the basis vector at the device
 angle (value +1), index 1 its orthogonal companion (value -1).
@@ -54,12 +55,19 @@ from .measurement import (
 from .qrs import (
     JointDistribution,
     QuasiDistribution,
+    _check_quasi,
     _checked_joint,
     _projector_product_table,
     _real_table,
     _reim_pairs,
 )
-from .schmidt import DEFAULT_TOLERANCE, InternalStateEnsemble, _checked_eigh, _ensembles
+from .schmidt import (
+    DEFAULT_TOLERANCE,
+    InternalStateEnsemble,
+    _checked_eigen,
+    _checked_eigh,
+    _checked_ensembles,
+)
 
 PARTICLE_1 = "P1"
 PARTICLE_2 = "P2"
@@ -73,19 +81,6 @@ _READY = 0
 _POINTERS = (1, 2)
 # settings per stacked run; each holds about 17 KiB of transients while it runs
 _BATCH_LIMIT = 1024
-# Contraction orders of the engine's table networks, keyed by include_m3.
-# They are the paths the greedy search in ``_projector_product_table``
-# returns for these networks at every stack size (tests/test_bell.py checks
-# this), so the engine passes them and no run searches.
-_QUANTUM_PATHS = {
-    True: ((0, 5), (0, 4), (0, 3), (0, 2), (0, 1)),
-    False: ((0, 1), (0, 3), (2, 3), (0, 2), (0, 1)),
-}
-_QUASI_PATHS = {
-    True: ((6, 7), (4, 5), (0, 1), (0, 2), (2, 3), (0, 2), (0, 1)),
-    False: ((6, 7), (0, 1), (2, 3), (0, 2), (0, 1), (0, 2), (0, 1)),
-}
-_HIDDEN_PATH = ((0, 1), (0, 5), (0, 4), (0, 3), (2, 3), (0, 2), (0, 1))
 _READY_MASS_ATOL = 1e-9
 _CORRELATOR_BOUND_ATOL = 1e-9
 
@@ -176,29 +171,40 @@ class BellResult:
     E_hidden: float | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "a": _reim_pairs(self.scenario.a),
-            "b": _reim_pairs(self.scenario.b),
-            "theta1": float(self.scenario.theta1),
-            "theta2": float(self.scenario.theta2),
-            "outcome_values": [float(v) for v in self.scenario.outcome_values],
-            "marginal1": self.marginal1.tolist(),
-            "marginal2": self.marginal2.tolist(),
-            "quantum_joint": self.quantum_table.tolist(),
-            "E_quantum": float(self.E_quantum),
-            "hidden_joint": None,
-            "E_hidden": None,
-            "quasi": {
-                "systems": [s.label for s in self.quasi.systems],
-                "table": _reim_pairs(self.quasi_table),
-                "max_imag": self.quasi.max_imag,
-                "min_real": self.quasi.min_real,
-            },
-        }
-        if self.hidden_table is not None:
-            out["hidden_joint"] = self.hidden_table.tolist()
-            out["E_hidden"] = float(self.E_hidden)
-        return out
+        quasi = self.quasi
+        return _bell_record(
+            self.scenario,
+            dict(vars(self), max_imag=quasi.max_imag, min_real=quasi.min_real),
+        )
+
+
+def _bell_record(scenario: BellScenario, cell) -> dict:
+    """The JSON record of one setting: ``scenario`` plus its numbers.
+
+    ``cell`` maps the names of ``BellResult``'s tables and correlators, and
+    ``max_imag``/``min_real``, to the setting's values; the recorded-run
+    entries are None without M3.
+    """
+    hidden = cell["hidden_table"]
+    return {
+        "a": _reim_pairs(scenario.a),
+        "b": _reim_pairs(scenario.b),
+        "theta1": float(scenario.theta1),
+        "theta2": float(scenario.theta2),
+        "outcome_values": [float(v) for v in scenario.outcome_values],
+        "marginal1": cell["marginal1"].tolist(),
+        "marginal2": cell["marginal2"].tolist(),
+        "quantum_joint": cell["quantum_table"].tolist(),
+        "E_quantum": float(cell["E_quantum"]),
+        "hidden_joint": None if hidden is None else hidden.tolist(),
+        "E_hidden": None if hidden is None else float(cell["E_hidden"]),
+        "quasi": {
+            "systems": [f"{PARTICLE_1}+{DEVICE_1}", DEVICE_1, DEVICE_2],
+            "table": _reim_pairs(cell["quasi_table"]),
+            "max_imag": float(cell["max_imag"]),
+            "min_real": float(cell["min_real"]),
+        },
+    }
 
 
 def build_bell_state(
@@ -324,30 +330,38 @@ def _chi_vectors(a: complex, b: complex, u1: np.ndarray) -> tuple:
     return eigenvalues, vectors
 
 
-def _run_batch(scenarios) -> list:
-    """Results of every scenario, in order, from one stacked computation.
+def _run_batch(scenario: BellScenario, thetas1, thetas2) -> dict:
+    """Stacked results of ``scenario``'s run at the angles (thetas1[i], thetas2[i]).
 
-    The scenarios differ only in their angles: the pair, ``include_m3`` and
-    the outcome values are read from the first, so the prepared state and
-    its z-recording for the hidden run are computed once.  The callers are
-    ``run_bell`` (one scenario) and ``_setting_grid`` (one pair and options
-    for the whole grid).  The engine composes the library's cores over a
-    stack with one entry per scenario: ``_evolve`` applies the couplings,
-    ``_checked_eigh`` decomposes every pointer reduction in one call, each
-    outcome table is one contraction on its fixed plan (``_QUANTUM_PATHS``,
-    ``_QUASI_PATHS``, ``_HIDDEN_PATH``), so no path is searched, and the
-    containers' ``_stack`` constructors check the whole stack at once with
-    the checks and messages of each result's containers alone.
+    Only the angles vary: the pair, ``include_m3`` and the outcome values
+    are ``scenario``'s, so the prepared state and its z-recording for the
+    hidden run are computed once.  The callers are ``run_bell`` (one
+    setting) and ``_setting_grid`` (the distinct settings of a grid).  The
+    engine composes the library's cores over a stack with one entry per
+    setting: ``_evolve`` applies the couplings, ``_checked_eigh`` decomposes
+    every pointer reduction in one call, and each outcome table is one
+    contraction.  Every stack gets the checks, and raises the messages, of
+    the containers ``run_bell`` builds, once per stack.
+
+    Returns a record of arrays, row i for setting i: ``BellResult``'s
+    ``marginal1``, ``marginal2``, ``quantum_table``, ``quasi_table``,
+    ``E_quantum``, ``hidden_table`` and ``E_hidden`` (None without M3); the
+    quasi table's ``max_imag`` and ``min_real``; the full ``quantum_joint``,
+    ``hidden_joint`` and ``quasi`` tables; the pointer ensembles'
+    ``eigenvalues``, ``vectors``, ``degenerate`` flags and outcome
+    ``indices``, leading axis aligned with ``pointers`` (quantum M1, M2,
+    then hidden M3, M1, M2); and the ``compound`` (P1+M1) ensembles'
+    ``chi_weights`` (one row for all) and ``chi_vectors``.
     """
-    first = scenarios[0]
-    n = len(scenarios)
+    n = len(thetas1)
+    include_m3 = scenario.include_m3
     subsystems = [
         (PARTICLE_1, 2),
         (DEVICE_1, _POINTER_DIM),
         (PARTICLE_2, 2),
         (DEVICE_2, _POINTER_DIM),
     ]
-    if first.include_m3:
+    if include_m3:
         subsystems.append((DEVICE_3, _POINTER_DIM))
     comp = CompositeSystem(subsystems)
     m1 = comp.subset([DEVICE_1])
@@ -355,17 +369,18 @@ def _run_batch(scenarios) -> list:
     p1m1 = comp.subset([PARTICLE_1, DEVICE_1])
     p2m2 = comp.subset([PARTICLE_2, DEVICE_2])
     ready = dict.fromkeys((DEVICE_1, DEVICE_2, DEVICE_3), _READY)
-    psi0 = build_bell_state(first.a, first.b, comp, ready)
+    psi0 = build_bell_state(scenario.a, scenario.b, comp, ready)
 
     # both supports list the particle before its pointer, the couplings' order
-    u1 = _device_couplings([s.theta1 for s in scenarios])
-    u2 = _device_couplings([s.theta2 for s in scenarios])
+    u1 = _device_couplings(thetas1)
+    u2 = _device_couplings(thetas2)
     angled = [(u1, p1m1.axes), (u2, p2m2.axes)]
     psi_q = _evolve(psi0.tensor_view()[None], angled)
     reduced = [
         _pure_reductions(psi_q.reshape(n, -1), comp.dims, m.axes) for m in (m1, m2)
     ]
-    if first.include_m3:
+    pointers = (m1, m2)
+    if include_m3:
         m3 = comp.subset([DEVICE_3])
         d3 = MeasurementDevice.from_basis(
             DEVICE_3, np.eye(2, dtype=complex), _POINTER_DIM, _READY, _POINTERS
@@ -376,88 +391,104 @@ def _run_batch(scenarios) -> list:
             _pure_reductions(psi_h.reshape(n, -1), comp.dims, m.axes)
             for m in (m3, m1, m2)
         ]
+        pointers += (m3, m1, m2)
     w, v, degenerate = _checked_eigh(np.concatenate(reduced), DEFAULT_TOLERANCE)
-    # axis 0: quantum M1, M2, then hidden M3, M1, M2; axis 1: scenario
-    w = w.reshape(len(reduced), n, _POINTER_DIM)
-    v = v.reshape(len(reduced), n, _POINTER_DIM, _POINTER_DIM)
-    degenerate = degenerate.reshape(len(reduced), n)
-    indices = _outcome_indices(v)
-    pointer_sets = (m1, m2, m3, m1, m2) if first.include_m3 else (m1, m2)
+    # axis 0: the pointer ensembles, in ``pointers`` order; axis 1: setting
+    stack = (len(pointers), n)
+    vectors = v.reshape(stack + v.shape[1:])
+    indices = _outcome_indices(vectors)
 
-    quantum_raw = _real_table(
-        _projector_product_table(psi_q, (m1, m2), v[:2], _QUANTUM_PATHS[first.include_m3])
+    quantum_raw = _real_table(_projector_product_table(psi_q, (m1, m2), vectors[:2]))
+    chi_weights, chi_vectors = _chi_vectors(scenario.a, scenario.b, u1)
+    quasi = _projector_product_table(
+        psi_q, (p1m1, m1, m2), (chi_vectors, vectors[0], vectors[1])
     )
-    chi_weights, chi_vectors = _chi_vectors(first.a, first.b, u1)
-    quasi_raw = _projector_product_table(
-        psi_q, (p1m1, m1, m2), (chi_vectors, v[0], v[1]), _QUASI_PATHS[first.include_m3]
-    )
-    if first.include_m3:
+    if include_m3:
         hidden_raw = _real_table(
-            _projector_product_table(psi_h, (m3, m1, m2), v[2:], _HIDDEN_PATH)
+            _projector_product_table(psi_h, (m3, m1, m2), vectors[2:])
         )
-    ens = [
-        _ensembles(m, w[k], v[k], DEFAULT_TOLERANCE, degenerate[k])
-        for k, m in enumerate(pointer_sets)
-    ]
-    chi = InternalStateEnsemble._stack(
-        p1m1,
-        np.broadcast_to(chi_weights, (n, chi_weights.size)),
-        chi_vectors,
-        DEFAULT_TOLERANCE,
-        degenerate=True,
-    )
-    quantum = JointDistribution._stack((m1, m2), list(zip(*ens[:2])), quantum_raw)
-    quasi = QuasiDistribution._stack(
-        (p1m1, m1, m2), list(zip(chi, *ens[:2])), quasi_raw
-    )
-    hidden = []
-    if first.include_m3:
-        recorded = _checked_joint((m3, m1, m2), list(zip(*ens[2:])), hidden_raw)
-        hidden = JointDistribution._stack(
-            (m1, m2), list(zip(*ens[3:])), recorded.sum(axis=1)
-        )
+    vals, _ = _checked_eigen(_POINTER_DIM, w, v, DEFAULT_TOLERANCE)
+    vals = vals.reshape(stack + (-1,))
+    chi_stack = np.broadcast_to(chi_weights, (n, chi_weights.size))
+    _checked_ensembles(p1m1.joint_dim, chi_stack, chi_vectors, DEFAULT_TOLERANCE, None)
+    quantum = _checked_joint((m1, m2), vals[:2], quantum_raw)
+    _check_quasi((chi_weights, *vals[:2]), quasi)
+    if include_m3:
+        recorded = _checked_joint((m3, m1, m2), vals[2:], hidden_raw)
+        hidden = _checked_joint((m1, m2), vals[3:], recorded.sum(axis=1))
 
-    values = first.outcome_values
-    quantum_tables = _outcome_blocks(
-        np.stack([j.table for j in quantum]), indices[0], indices[1]
-    )
-    e_quantum = _checked_correlators(quantum_tables, values, "proper run")
-    marginals1 = quantum_tables.sum(axis=-1)
-    marginals2 = quantum_tables.sum(axis=-2)
+    values = scenario.outcome_values
+    quantum_tables = _outcome_blocks(quantum, indices[0], indices[1])
     # compound axis last while the pointer axes are indexed, then first again
     quasi_tables = np.moveaxis(
-        _outcome_blocks(np.moveaxis(quasi_raw[:, :2], 1, -1), indices[0], indices[1]),
+        _outcome_blocks(np.moveaxis(quasi[:, :2], 1, -1), indices[0], indices[1]),
         -1,
         1,
     )
-    if hidden:
-        hidden_tables = _outcome_blocks(
-            np.stack([j.table for j in hidden]), indices[3], indices[4]
-        )
-        e_hidden = _checked_correlators(hidden_tables, values, "recorded run")
-    return [
-        BellResult(
-            scenario=scenarios[i],
-            marginal1=_lock(marginals1[i]),
-            marginal2=_lock(marginals2[i]),
-            quantum_joint=quantum[i],
-            quantum_table=_lock(quantum_tables[i]),
-            quasi=quasi[i],
-            quasi_table=_lock(quasi_tables[i]),
-            E_quantum=float(e_quantum[i]),
-            m1_outcome_indices=tuple(indices[0, i].tolist()),
-            m2_outcome_indices=tuple(indices[1, i].tolist()),
-            hidden_joint=hidden[i] if hidden else None,
-            hidden_table=_lock(hidden_tables[i]) if hidden else None,
-            E_hidden=float(e_hidden[i]) if hidden else None,
-        )
-        for i in range(n)
-    ]
+    record = {
+        "marginal1": quantum_tables.sum(axis=-1),
+        "marginal2": quantum_tables.sum(axis=-2),
+        "quantum_table": quantum_tables,
+        "quasi_table": quasi_tables,
+        "E_quantum": _checked_correlators(quantum_tables, values, "proper run"),
+        "hidden_table": None,
+        "E_hidden": None,
+        "max_imag": np.max(np.abs(quasi.imag), axis=(1, 2, 3)),
+        "min_real": np.min(quasi.real, axis=(1, 2, 3)),
+        "quantum_joint": quantum,
+        "hidden_joint": None,
+        "quasi": quasi,
+        "pointers": pointers,
+        "eigenvalues": vals,
+        "vectors": vectors,
+        "degenerate": degenerate.reshape(stack),
+        "indices": indices,
+        "compound": p1m1,
+        "chi_weights": chi_weights,
+        "chi_vectors": chi_vectors,
+    }
+    if include_m3:
+        hidden_tables = _outcome_blocks(hidden, indices[3], indices[4])
+        record["hidden_joint"] = hidden
+        record["hidden_table"] = hidden_tables
+        record["E_hidden"] = _checked_correlators(hidden_tables, values, "recorded run")
+    return record
 
 
 def run_bell(scenario: BellScenario) -> BellResult:
     """Prepare, couple the devices, and collect all outcome statistics."""
-    return _run_batch([scenario])[0]
+    r = _run_batch(scenario, [scenario.theta1], [scenario.theta2])
+    rows = zip(r["pointers"], r["eigenvalues"][:, 0], r["vectors"][:, 0], r["degenerate"][:, 0])
+    ens = [InternalStateEnsemble(m, w, v, DEFAULT_TOLERANCE, bool(d)) for m, w, v, d in rows]
+    chi = InternalStateEnsemble(
+        r["compound"], r["chi_weights"], r["chi_vectors"][0], DEFAULT_TOLERANCE, True
+    )
+    m1, m2 = r["pointers"][:2]
+    hidden = scenario.include_m3
+    return BellResult(
+        scenario=scenario,
+        marginal1=_lock(r["marginal1"][0]),
+        marginal2=_lock(r["marginal2"][0]),
+        quantum_joint=JointDistribution((m1, m2), ens[:2], r["quantum_joint"][0]),
+        quantum_table=_lock(r["quantum_table"][0]),
+        quasi=QuasiDistribution((r["compound"], m1, m2), (chi, *ens[:2]), r["quasi"][0]),
+        quasi_table=_lock(r["quasi_table"][0]),
+        E_quantum=float(r["E_quantum"][0]),
+        m1_outcome_indices=tuple(r["indices"][0, 0].tolist()),
+        m2_outcome_indices=tuple(r["indices"][1, 0].tolist()),
+        hidden_joint=(
+            JointDistribution((m1, m2), ens[3:], r["hidden_joint"][0]) if hidden else None
+        ),
+        hidden_table=_lock(r["hidden_table"][0]) if hidden else None,
+        E_hidden=float(r["E_hidden"][0]) if hidden else None,
+    )
+
+
+# the batch columns a setting grid keeps: what ``chsh``, ``sweep`` and the CLI read
+_GRID_COLUMNS = (
+    "marginal1 marginal2 quantum_table quasi_table E_quantum hidden_table E_hidden "
+    "max_imag min_real"
+).split()
 
 
 def _setting_grid(
@@ -467,53 +498,48 @@ def _setting_grid(
     thetas2,
     include_m3: bool,
     outcome_values=(1.0, -1.0),
-) -> list:
+) -> dict:
     """Runs over thetas1 x thetas2, once per distinct setting.
 
-    Returns rows of results, ``grid[i][j]`` at (thetas1[i], thetas2[j]).
-    Settings are keyed by their bit patterns, so -0.0 keeps its own run and
-    the sign it prints.  The distinct settings go to the module-level
-    ``_run_batch`` name in batches of at most ``_BATCH_LIMIT``, which bounds
-    the stacked transients; a call tracer or test that rebinds that name
-    sees every batch.
+    Returns ``_GRID_COLUMNS`` (None where the run has no M3), ``theta1``,
+    ``theta2``, and ``S_quantum``/``S_hidden``, the CHSH value
+    S = E(0,0) - E(0,j) + E(i,0) + E(i,j) of each cell; every column is
+    indexed [i, j, ...] at (thetas1[i], thetas2[j]).  Settings are keyed by
+    their bit patterns, so -0.0 keeps its own run and the sign it prints.
+    The distinct settings, in order of first appearance, go to the
+    module-level ``_run_batch`` name in batches of at most ``_BATCH_LIMIT``,
+    which bounds the stacked transients; a call tracer or test that rebinds
+    that name sees every batch.
     """
-    slots: dict = {}
-    scenarios = []
-    cells = []
-    for t1 in thetas1:
-        for t2 in thetas2:
-            key = (float(t1).hex(), float(t2).hex())
-            if key not in slots:
-                slots[key] = len(scenarios)
-                scenarios.append(
-                    BellScenario(
-                        a,
-                        b,
-                        t1,
-                        t2,
-                        include_m3=include_m3,
-                        outcome_values=outcome_values,
-                    )
-                )
-            cells.append(slots[key])
-    results = []
-    for start in range(0, len(scenarios), _BATCH_LIMIT):
-        results.extend(_run_batch(scenarios[start:start + _BATCH_LIMIT]))
-    width = len(thetas2)
-    return [
-        [results[k] for k in cells[row:row + width]]
-        for row in range(0, len(cells), width)
-    ]
-
-
-def _grid_chsh(grid, model: str, i: int, j: int) -> float:
-    """S = E(0,0) - E(0,j) + E(i,0) + E(i,j) read off a setting grid."""
-
-    def e(x: int, y: int) -> float:
-        result = grid[x][y]
-        return result.E_hidden if model == "hidden" else result.E_quantum
-
-    return e(0, 0) - e(0, j) + e(i, 0) + e(i, j)
+    # the pair, the options and the first angles are checked as one run's
+    scenario = BellScenario(a, b, thetas1[0], thetas2[0], include_m3, outcome_values)
+    t1, t2 = np.meshgrid(
+        np.asarray(thetas1, dtype=float), np.asarray(thetas2, dtype=float), indexing="ij"
+    )
+    if not (np.all(np.isfinite(t1)) and np.all(np.isfinite(t2))):
+        raise ValidationError("device angles must be finite")
+    settings = np.stack([t1.reshape(-1), t2.reshape(-1)], axis=-1)
+    _, first, inverse = np.unique(
+        settings.view(np.int64), axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    cells = np.argsort(order)[inverse.reshape(t1.shape)]
+    distinct = settings[first[order]]
+    parts = {name: [] for name in _GRID_COLUMNS}
+    for start in range(0, len(distinct), _BATCH_LIMIT):
+        chunk = distinct[start:start + _BATCH_LIMIT]
+        batch = _run_batch(scenario, chunk[:, 0], chunk[:, 1])
+        for name, columns in parts.items():
+            columns.append(batch[name])
+    grid = {
+        name: None if columns[0] is None else np.concatenate(columns)[cells]
+        for name, columns in parts.items()
+    }
+    grid["theta1"], grid["theta2"] = t1, t2
+    for model in CHSH_MODELS:
+        e = grid[f"E_{model}"]
+        grid[f"S_{model}"] = None if e is None else e[0, 0] - e[:1] + e[:, :1] + e
+    return grid
 
 
 def _validated_angles(angles) -> tuple:
@@ -553,7 +579,7 @@ def chsh(
     grid = _setting_grid(
         a, b, (a1, a2), (b1, b2), model == "hidden", outcome_values
     )
-    return _grid_chsh(grid, model, 1, 1)
+    return float(grid[f"S_{model}"][1, 1])
 
 
 def sweep(
@@ -578,23 +604,8 @@ def sweep(
         )
     thetas = [2.0 * math.pi * k / points for k in range(points)]
     grid = _setting_grid(a, b, thetas, thetas, True, outcome_values)
-    rows = []
-    for i, t1 in enumerate(thetas):
-        for j, t2 in enumerate(thetas):
-            r = grid[i][j]
-            rows.append(
-                [
-                    t1,
-                    t2,
-                    r.E_quantum,
-                    r.E_hidden,
-                    _grid_chsh(grid, "quantum", i, j),
-                    _grid_chsh(grid, "hidden", i, j),
-                    r.quasi.max_imag,
-                    r.quasi.min_real,
-                ]
-            )
-    return SWEEP_HEADER, rows
+    rows = np.stack([grid[name] for name in SWEEP_HEADER], axis=-1)
+    return SWEEP_HEADER, rows.reshape(-1, len(SWEEP_HEADER)).tolist()
 
 
 def sample_joint_outcomes(table: np.ndarray, count: int, seed: int) -> np.ndarray:

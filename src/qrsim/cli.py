@@ -25,7 +25,8 @@ import numpy as np
 
 from .bell import (
     MAX_SWEEP_POINTS,
-    _grid_chsh,
+    BellScenario,
+    _bell_record,
     _setting_grid,
     build_bell_state,
     sample_joint_outcomes,
@@ -422,9 +423,9 @@ def cmd_bell(args) -> int:
         grid = _setting_grid(args.a, args.b, angles[:2], angles[2:], include_m3)
         out = {"angles": [float(v) for v in angles], "model": args.model}
         if args.model in ("quantum", "all"):
-            out["S_quantum"] = _grid_chsh(grid, "quantum", 1, 1)
+            out["S_quantum"] = float(grid["S_quantum"][1, 1])
         if args.model in ("hidden", "all"):
-            out["S_hidden"] = _grid_chsh(grid, "hidden", 1, 1)
+            out["S_hidden"] = float(grid["S_hidden"][1, 1])
         _emit_json(out)
         return 0
 
@@ -436,8 +437,8 @@ def cmd_bell(args) -> int:
         grid = _setting_grid(
             args.a, args.b, (0.0, theta1), (0.0, theta2), include_m3
         )
-    result = grid[-1][-1]
-    full = result.to_json_dict()
+    cell = {name: None if col is None else col[-1, -1] for name, col in grid.items()}
+    full = _bell_record(BellScenario(args.a, args.b, theta1, theta2), cell)
     out = {
         "a": full["a"],
         "b": full["b"],
@@ -451,15 +452,15 @@ def cmd_bell(args) -> int:
         out["marginal2"] = full["marginal2"]
         out["quantum_joint"] = full["quantum_joint"]
         out["E_quantum"] = full["E_quantum"]
-        out["S_quantum"] = _grid_chsh(grid, "quantum", 1, 1)
+        out["S_quantum"] = float(cell["S_quantum"])
     if args.model in ("hidden", "all"):
         out["hidden_joint"] = full["hidden_joint"]
         out["E_hidden"] = full["E_hidden"]
-        out["S_hidden"] = _grid_chsh(grid, "hidden", 1, 1)
+        out["S_hidden"] = float(cell["S_hidden"])
     if args.model in ("quasi", "all"):
         out["quasi"] = full["quasi"]
     if args.samples is not None:
-        table = result.hidden_table if args.model == "hidden" else result.quantum_table
+        table = cell["hidden_table" if args.model == "hidden" else "quantum_table"]
         counts = sample_joint_outcomes(table, args.samples, args.seed)
         out["sampling"] = {
             "n": int(args.samples),

@@ -61,6 +61,10 @@ class CompositeSystem:
         for label, dim in pairs:
             if not label:
                 raise ValidationError("subsystem labels must be non-empty strings")
+            if "+" in label:
+                raise ValidationError(
+                    f"subsystem label {label!r} contains '+', which joins labels"
+                )
             if label in seen:
                 raise ValidationError(f"duplicate subsystem label {label!r}")
             seen.add(label)
@@ -190,8 +194,8 @@ def _lock(arr: np.ndarray) -> np.ndarray:
 def _frozen(cls, **fields):
     """A ``cls`` instance holding ``fields`` as given, without ``__post_init__``.
 
-    For results whose checks have already run: the members of a stacked
-    constructor, and the states ``_evolve`` has checked and normalized.
+    For results whose checks have already run: the states ``_evolve`` has
+    checked and normalized.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)

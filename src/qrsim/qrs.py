@@ -19,9 +19,12 @@ pairing across a bipartition's Schmidt decomposition.
 
 Every table, proper or formal (a Kirkwood-Dirac quasiprobability), is one
 einsum network over ket, ensemble vectors and bra, contracted on a greedy
-path whose size cap comes from the inputs, or on a fixed path that a caller
-with a fixed network supplies (``_projector_product_table``).
-Queries needing more than einsum's 52 labels are refused up front.
+path whose size cap comes from the inputs (``_projector_product_table``).
+The path is searched once per network shape and memoized, so the Bell
+engine's repeated networks run without a search.  The table checks take
+stacks of tables and of ensemble eigenvalues, so the engine checks a whole
+batch at once.  Queries needing more than einsum's 52 labels are refused
+up front.
 """
 
 from __future__ import annotations
@@ -40,16 +43,14 @@ from .hilbert import (
     PureState,
     SubsystemSet,
     as_subsystem_set,
-    _frozen,
     _lock,
     _pure_reductions,
     partial_trace,
 )
 from .schmidt import (
     DEFAULT_TOLERANCE,
-    InternalStateEnsemble,
     _checked_eigh,
-    _ensembles,
+    _ensemble,
     _validate_tolerance,
 )
 
@@ -61,6 +62,10 @@ MAX_COMPARABILITY_SYSTEMS = 16
 
 # numpy's einsum accepts these 52 labels and no others
 _EINSUM_LABELS = string.ascii_letters
+# greedy contraction paths of the table kernel by (expression, operand
+# shapes), oldest dropped first beyond the limit
+_PATHS: dict = {}
+_PATH_MEMO_LIMIT = 256
 
 
 # ---------------------------------------------------------------------------
@@ -72,31 +77,30 @@ def _reim_pairs(values) -> list:
     return np.stack((values.real, values.imag), -1).tolist()
 
 
-def _check_table_shapes(ensembles, tables) -> None:
-    """Each member's table shape against the sizes of its ensembles.
+def _check_table_shapes(eigenvalues, tables) -> None:
+    """The table shape against the ensemble sizes.
 
-    ``tables`` stacks B tables and ``ensembles`` holds B ensemble tuples,
-    one per member and one ensemble per table axis.
+    ``tables`` stacks B tables and ``eigenvalues`` holds one stack of
+    ensemble eigenvalues per table axis, (B, n_i) or one (n_i) for all.
     """
-    for members in ensembles:
-        shape = tuple(e.eigenvalues.size for e in members)
-        if tables.shape[1:] != shape:
-            raise NumericalInvariantError(
-                f"table shape {tables.shape[1:]} does not match ensemble sizes {shape}"
-            )
+    shape = tuple(e.shape[-1] for e in eigenvalues)
+    if tables.shape[1:] != shape:
+        raise NumericalInvariantError(
+            f"table shape {tables.shape[1:]} does not match ensemble sizes {shape}"
+        )
 
 
-def _checked_joint(systems, ensembles, tables) -> np.ndarray:
+def _checked_joint(systems, eigenvalues, tables) -> np.ndarray:
     """``JointDistribution``'s checks on a stack of tables; returns them clipped.
 
-    ``ensembles`` and ``tables`` are as in ``_check_table_shapes``.  The
+    ``eigenvalues`` and ``tables`` are as in ``_check_table_shapes``.  The
     first check that any member fails raises, with that check's first
     failing member in the message, so a stack of one raises what a single
     construction does.
     """
-    if any(len(systems) != len(members) for members in ensembles):
+    if len(systems) != len(eigenvalues):
         raise NumericalInvariantError("systems and ensembles are misaligned")
-    _check_table_shapes(ensembles, tables)
+    _check_table_shapes(eigenvalues, tables)
     axes = tuple(range(1, tables.ndim))
     # every check is written so that NaN fails it
     lows = tables.min(axis=axes, initial=0.0)
@@ -117,8 +121,7 @@ def _checked_joint(systems, ensembles, tables) -> np.ndarray:
         )
     for i in range(len(systems)):
         marg = tables.sum(axis=tuple(a for a in axes if a != i + 1))
-        eigenvalues = np.stack([m[i].eigenvalues for m in ensembles])
-        devs = np.max(np.abs(marg - eigenvalues), axis=-1)
+        devs = np.max(np.abs(marg - eigenvalues[i]), axis=-1)
         bad = ~(devs <= _TABLE_ATOL)
         if bad.any():
             raise NumericalInvariantError(
@@ -145,25 +148,13 @@ class JointDistribution:
         systems = tuple(self.systems)
         ensembles = tuple(self.ensembles)
         table = _checked_joint(
-            systems, [ensembles], np.asarray(self.table, dtype=float)[None]
+            systems,
+            [e.eigenvalues for e in ensembles],
+            np.asarray(self.table, dtype=float)[None],
         )
         object.__setattr__(self, "systems", systems)
         object.__setattr__(self, "ensembles", ensembles)
         object.__setattr__(self, "table", _lock(table)[0])
-
-    @classmethod
-    def _stack(cls, systems, ensembles, tables) -> list:
-        """One distribution per member of (B, ...) tables.
-
-        ``ensembles`` holds each member's ensemble tuple.  The checks run
-        once over the stack; each distribution holds a locked slice of it.
-        """
-        systems = tuple(systems)
-        tables = _lock(_checked_joint(systems, ensembles, np.asarray(tables, dtype=float)))
-        return [
-            _frozen(cls, systems=systems, ensembles=tuple(members), table=table)
-            for members, table in zip(ensembles, tables)
-        ]
 
     def to_json_dict(self) -> dict:
         return {
@@ -173,9 +164,9 @@ class JointDistribution:
         }
 
 
-def _check_quasi(ensembles, tables) -> None:
+def _check_quasi(eigenvalues, tables) -> None:
     """``QuasiDistribution``'s checks on a stack of tables (as ``_checked_joint``)."""
-    _check_table_shapes(ensembles, tables)
+    _check_table_shapes(eigenvalues, tables)
     if not np.all(np.isfinite(tables)):
         raise NumericalInvariantError("quasi table entries must be finite")
 
@@ -196,22 +187,10 @@ class QuasiDistribution:
         systems = tuple(self.systems)
         ensembles = tuple(self.ensembles)
         table = np.array(self.table, dtype=complex)
-        _check_quasi([ensembles], table[None])
+        _check_quasi([e.eigenvalues for e in ensembles], table[None])
         object.__setattr__(self, "systems", systems)
         object.__setattr__(self, "ensembles", ensembles)
         object.__setattr__(self, "table", _lock(table))
-
-    @classmethod
-    def _stack(cls, systems, ensembles, tables) -> list:
-        """One table per member of (B, ...) tables, as ``JointDistribution._stack``."""
-        systems = tuple(systems)
-        tables = np.asarray(tables, dtype=complex)
-        _check_quasi(ensembles, tables)
-        tables = _lock(tables)
-        return [
-            _frozen(cls, systems=systems, ensembles=tuple(members), table=table)
-            for members, table in zip(ensembles, tables)
-        ]
 
     @property
     def max_imag(self) -> float:
@@ -291,7 +270,7 @@ def state_of(target, reference, psi_ref: PureState) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 # projector-product kernel
 
-def _projector_product_table(ket: np.ndarray, systems, vectors, path=None) -> np.ndarray:
+def _projector_product_table(ket: np.ndarray, systems, vectors) -> np.ndarray:
     """Entries <psi| P_1 ... P_n |psi> over all ensemble index combinations.
 
     ``ket`` is the state tensor, one axis per subsystem of the systems'
@@ -310,10 +289,9 @@ def _projector_product_table(ket: np.ndarray, systems, vectors, path=None) -> np
     makes greedy stop early and hand the remaining operands to one
     many-operand loop: with numpy's default cap, the largest operand, that
     loop is slower on overlapping chains than contracting entry by entry.
-    A caller whose network is fixed passes the pairwise contraction order
-    that search returns as ``path`` (``np.einsum_path`` without its leading
-    ``"einsum_path"``); einsum then runs those contractions without
-    searching, so the table is the same to the bit.
+    The path depends only on the expression and the operand shapes, so it
+    is searched once per such pair and memoized in ``_PATHS``; einsum runs a
+    given path without searching, and the table is the same to the bit.
     """
     labels = iter(_EINSUM_LABELS)
     batched = ket.ndim > len(systems[0].parent.dims)
@@ -332,12 +310,17 @@ def _projector_product_table(ket: np.ndarray, systems, vectors, path=None) -> np
     terms.append(batch + "".join(current))
     operands.append(ket.conj())
     expr = ",".join(terms) + "->" + batch + "".join(outputs)
-    if path is not None:
-        return np.einsum(expr, *operands, optimize=["einsum_path", *path])
-    sizes = [v.shape[-1] for v in vectors]
-    runs = ket.shape[0] if batched else 1
-    limit = max(ket.size * max(sizes), runs * math.prod(sizes))
-    return np.einsum(expr, *operands, optimize=("greedy", limit))
+    key = (expr, tuple(op.shape for op in operands))
+    path = _PATHS.get(key)
+    if path is None:
+        sizes = [v.shape[-1] for v in vectors]
+        runs = ket.shape[0] if batched else 1
+        limit = max(ket.size * max(sizes), runs * math.prod(sizes))
+        path = np.einsum_path(expr, *operands, optimize=("greedy", limit))[0]
+        if len(_PATHS) >= _PATH_MEMO_LIMIT:
+            del _PATHS[next(iter(_PATHS))]
+        _PATHS[key] = path
+    return np.einsum(expr, *operands, optimize=path)
 
 
 def _real_table(raw: np.ndarray) -> np.ndarray:
@@ -358,7 +341,7 @@ def _possible_internal_states(psi: PureState, system: SubsystemSet, tolerance: f
     """
     rho = _pure_reductions(psi.amplitudes, psi.system.dims, system.axes)
     w, v, degenerate = _checked_eigh(rho[None], tolerance)
-    return _ensembles(system, w, v, tolerance, degenerate)[0]
+    return _ensemble(system, w, v, tolerance, degenerate)
 
 
 def _coerce_systems(systems, psi: PureState) -> tuple:
@@ -404,47 +387,20 @@ def joint_probability(
 
 
 def formal_joint(
-    systems,
-    psi: PureState,
-    tolerance: float = DEFAULT_TOLERANCE,
-    bases=None,
+    systems, psi: PureState, tolerance: float = DEFAULT_TOLERANCE
 ) -> QuasiDistribution:
     """Evaluate the projector product for arbitrary (even overlapping) systems.
 
     The product is taken in the caller's argument order, which is preserved
     in the output metadata; with overlap the projectors need not commute, so
-    order matters and entries may be complex or negative.
-
-    ``bases`` optionally overrides the ensemble used for individual systems
-    (a list aligned with ``systems``; None entries fall back on
-    ``possible_internal_states``).  Any override must be a complete
-    orthonormal ensemble on its system; the hook exists because a degenerate
-    reduced matrix does not single out its eigenbasis.
+    order matters and entries may be complex or negative.  Each system's
+    projectors are those of its possible internal states relative to
+    ``psi``; a degenerate reduced matrix contributes its canonical basis
+    (see ``schmidt``).
     """
     coerced = _coerce_systems(systems, psi)
-    if bases is None:
-        bases = [None] * len(coerced)
-    if len(bases) != len(coerced):
-        raise ValidationError("bases must align with systems")
-    ensembles = []
-    for s, override in zip(coerced, bases):
-        if override is None:
-            tolerance = _validate_tolerance(tolerance)
-            ensembles.append(_possible_internal_states(psi, s, tolerance))
-        else:
-            if not isinstance(override, InternalStateEnsemble):
-                raise ValidationError("basis overrides must be InternalStateEnsemble values")
-            if override.subsystem.members != s.members:
-                raise ValidationError(
-                    f"override ensemble is for {override.subsystem.label!r}, "
-                    f"not {s.label!r}"
-                )
-            if override.eigenvalues.size != s.joint_dim:
-                raise ValidationError(
-                    "override ensemble must be complete on its system"
-                )
-            ensembles.append(override)
-    ensembles = tuple(ensembles)
+    tolerance = _validate_tolerance(tolerance)
+    ensembles = tuple(_possible_internal_states(psi, s, tolerance) for s in coerced)
     table = _projector_product_table(
         psi.tensor_view(), coerced, [e.vectors for e in ensembles]
     )

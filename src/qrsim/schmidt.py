@@ -26,7 +26,6 @@ from .hilbert import (
     as_subsystem_set,
     _check_density,
     _check_eigen_floor,
-    _frozen,
     _lock,
     permute_vector_factors,
 )
@@ -123,36 +122,6 @@ class InternalStateEnsemble:
         object.__setattr__(self, "vectors", _lock(vecs))
         object.__setattr__(self, "negligible", _lock(neg)[0])
 
-    @classmethod
-    def _stack(cls, subsystem, eigenvalues, vectors, tolerance, degenerate) -> list:
-        """One ensemble per member of (B, n) eigenvalues and (B, d, n) vectors.
-
-        The checks run once over the stack; each ensemble holds locked
-        slices of it.  ``degenerate`` is one flag for all or one per member.
-        """
-        vecs = np.array(vectors, dtype=complex)
-        vals, neg = _checked_ensembles(
-            subsystem.joint_dim,
-            np.asarray(eigenvalues, dtype=float),
-            vecs,
-            tolerance,
-            None,
-        )
-        vals, vecs, neg = _lock(vals), _lock(vecs), _lock(neg)
-        flags = np.broadcast_to(degenerate, len(vals)).tolist()
-        return [
-            _frozen(
-                cls,
-                subsystem=subsystem,
-                eigenvalues=vals[i],
-                vectors=vecs[i],
-                tolerance=tolerance,
-                degenerate=flags[i],
-                negligible=neg[i],
-            )
-            for i in range(len(vals))
-        ]
-
 
 def possible_internal_states(
     rho: DensityMatrix, tolerance: float = DEFAULT_TOLERANCE
@@ -169,7 +138,7 @@ def possible_internal_states(
     if not isinstance(rho, DensityMatrix):
         raise ValidationError("possible_internal_states expects a DensityMatrix")
     w, v, degenerate = _canonical_eigh(rho.matrix[None], tolerance)
-    return _ensembles(rho.system, w, v, tolerance, degenerate)[0]
+    return _ensemble(rho.system, w, v, tolerance, degenerate)
 
 
 def _canonical_eigh(matrices: np.ndarray, tolerance: float) -> tuple:
@@ -225,20 +194,23 @@ def _checked_eigh(rhos: np.ndarray, tolerance: float) -> tuple:
     return w, v, degenerate
 
 
-def _ensembles(
-    subsystem: SubsystemSet,
-    w: np.ndarray,
-    v: np.ndarray,
-    tolerance: float,
-    degenerate,
-) -> list:
-    """The ensembles of a stack of canonical eigendecompositions (see ``_canonical_eigh``)."""
+def _checked_eigen(d: int, w: np.ndarray, v: np.ndarray, tolerance: float) -> tuple:
+    """``_checked_ensembles`` on a stack of canonical eigendecompositions.
+
+    ``w`` and ``v`` are as ``_canonical_eigh`` returns them; a failure is the
+    library's own, so it raises ``NumericalInvariantError``.  Returns the
+    clipped eigenvalues and the negligible flags.
+    """
     try:
-        return InternalStateEnsemble._stack(
-            subsystem, np.clip(w, 0.0, 1.0), v, tolerance, degenerate
-        )
+        return _checked_ensembles(d, np.clip(w, 0.0, 1.0), v, tolerance, None)
     except ValidationError as exc:
         raise NumericalInvariantError(f"eigendecomposition broke an invariant: {exc}") from exc
+
+
+def _ensemble(subsystem, w, v, tolerance, degenerate) -> InternalStateEnsemble:
+    """The ensemble of a stack of one canonical eigendecomposition."""
+    vals, _ = _checked_eigen(subsystem.joint_dim, w, v, tolerance)
+    return InternalStateEnsemble(subsystem, vals[0], v[0], tolerance, bool(degenerate[0]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -182,57 +182,60 @@ class TestBatchedGrid:
     THETAS2 = (0.0, 0.7, 4.4)
     VALUES = (0.5, -1.0)
 
-    @staticmethod
-    def degenerate_flags(result):
-        joints = [result.quantum_joint, result.quasi]
-        if result.hidden_joint is not None:
-            joints.append(result.hidden_joint)
-        return [e.degenerate for j in joints for e in j.ensembles]
-
     @pytest.mark.parametrize("a,b", [(INV_SQRT2, INV_SQRT2), (0.6, 0.8), (0.6, 0.8j)])
     @pytest.mark.parametrize("include_m3", [True, False])
     def test_cells_equal_single_runs_and_closed_forms(self, a, b, include_m3):
         grid = qrsim.bell._setting_grid(
             a, b, self.THETAS1, self.THETAS2, include_m3, self.VALUES
         )
+        settings = [(t1, t2) for t1 in self.THETAS1 for t2 in self.THETAS2]
+        batch = qrsim.bell._run_batch(
+            BellScenario(a, b, 0.0, 0.0, include_m3, self.VALUES), *zip(*settings)
+        )
         v = np.outer(self.VALUES, self.VALUES)
-        for i, t1 in enumerate(self.THETAS1):
-            for j, t2 in enumerate(self.THETAS2):
-                cell = grid[i][j]
-                alone = run_bell(BellScenario(a, b, t1, t2, include_m3, self.VALUES))
-                assert cell.scenario == alone.scenario
-                for name in ("quantum_table", "quasi_table", "marginal1", "marginal2"):
-                    assert_allclose(getattr(cell, name), getattr(alone, name), atol=1e-12)
-                assert_allclose(cell.quantum_joint.table, alone.quantum_joint.table, atol=1e-12)
-                assert_allclose(cell.quasi.table, alone.quasi.table, atol=1e-12)
-                assert cell.E_quantum == pytest.approx(alone.E_quantum, abs=1e-12)
-                assert cell.quasi.max_imag == pytest.approx(alone.quasi.max_imag, abs=1e-12)
-                assert cell.quasi.min_real == pytest.approx(alone.quasi.min_real, abs=1e-12)
-                assert cell.m1_outcome_indices == alone.m1_outcome_indices
-                assert cell.m2_outcome_indices == alone.m2_outcome_indices
-                assert self.degenerate_flags(cell) == self.degenerate_flags(alone)
+        for k, (t1, t2) in enumerate(settings):
+            i, j = divmod(k, len(self.THETAS2))
+            cell = {name: col[i, j] for name, col in grid.items() if col is not None}
+            alone = run_bell(BellScenario(a, b, t1, t2, include_m3, self.VALUES))
+            assert (cell["theta1"], cell["theta2"]) == (t1, t2)
+            for name in ("quantum_table", "quasi_table", "marginal1", "marginal2"):
+                assert_allclose(cell[name], getattr(alone, name), atol=1e-12)
+            assert_allclose(batch["quantum_joint"][k], alone.quantum_joint.table, atol=1e-12)
+            assert_allclose(batch["quasi"][k], alone.quasi.table, atol=1e-12)
+            assert cell["E_quantum"] == pytest.approx(alone.E_quantum, abs=1e-12)
+            assert cell["max_imag"] == pytest.approx(alone.quasi.max_imag, abs=1e-12)
+            assert cell["min_real"] == pytest.approx(alone.quasi.min_real, abs=1e-12)
+            assert tuple(batch["indices"][0, k]) == alone.m1_outcome_indices
+            assert tuple(batch["indices"][1, k]) == alone.m2_outcome_indices
+            joints = [alone.quantum_joint]
+            if include_m3:
+                joints.append(alone.hidden_joint)
+            flags = [e.degenerate for j in joints for e in j.ensembles]
+            pointers = [0, 1, 3, 4] if include_m3 else [0, 1]
+            assert batch["degenerate"][pointers, k].tolist() == flags
 
-                quantum = oracle.quantum_table(a, b, t1, t2)
-                assert_allclose(cell.quantum_table, quantum, atol=1e-12)
-                assert_allclose(cell.quasi_table, oracle.quasi_table(a, b, t1, t2), atol=1e-12)
-                assert cell.E_quantum == pytest.approx(float(np.sum(v * quantum)), abs=1e-12)
-                if include_m3:
-                    hidden = oracle.hidden_table(a, b, t1, t2)
-                    assert_allclose(cell.hidden_table, alone.hidden_table, atol=1e-12)
-                    assert_allclose(cell.hidden_joint.table, alone.hidden_joint.table, atol=1e-12)
-                    assert cell.E_hidden == pytest.approx(alone.E_hidden, abs=1e-12)
-                    assert_allclose(cell.hidden_table, hidden, atol=1e-12)
-                    assert cell.E_hidden == pytest.approx(float(np.sum(v * hidden)), abs=1e-12)
-                else:
-                    assert cell.hidden_joint is None and alone.hidden_joint is None
+            quantum = oracle.quantum_table(a, b, t1, t2)
+            assert_allclose(cell["quantum_table"], quantum, atol=1e-12)
+            assert_allclose(cell["quasi_table"], oracle.quasi_table(a, b, t1, t2), atol=1e-12)
+            assert cell["E_quantum"] == pytest.approx(float(np.sum(v * quantum)), abs=1e-12)
+            if include_m3:
+                hidden = oracle.hidden_table(a, b, t1, t2)
+                assert_allclose(cell["hidden_table"], alone.hidden_table, atol=1e-12)
+                assert_allclose(batch["hidden_joint"][k], alone.hidden_joint.table, atol=1e-12)
+                assert cell["E_hidden"] == pytest.approx(alone.E_hidden, abs=1e-12)
+                assert_allclose(cell["hidden_table"], hidden, atol=1e-12)
+                assert cell["E_hidden"] == pytest.approx(float(np.sum(v * hidden)), abs=1e-12)
+            else:
+                assert grid["hidden_table"] is None and alone.hidden_joint is None
+                assert batch["hidden_joint"] is None
 
     def test_settings_reach_the_engine_in_bounded_batches(self, monkeypatch):
         sizes = []
         original = qrsim.bell._run_batch
 
-        def counting(scenarios):
-            sizes.append(len(scenarios))
-            return original(scenarios)
+        def counting(scenario, thetas1, thetas2):
+            sizes.append(len(thetas1))
+            return original(scenario, thetas1, thetas2)
 
         monkeypatch.setattr(qrsim.bell, "_run_batch", counting)
         _, rows = sweep(0.6, 0.8, points=33)
@@ -243,45 +246,14 @@ class TestBatchedGrid:
     def test_the_recorded_table_is_checked_on_its_z_axis(self, monkeypatch):
         kernel = qrsim.qrs._projector_product_table
 
-        def z_reversed(ket, systems, vectors, path=None):
-            table = kernel(ket, systems, vectors, path)
+        def z_reversed(ket, systems, vectors):
+            table = kernel(ket, systems, vectors)
             # M1 and M2 marginals stay right; only the M3 (z record) one moves
-            return table[:, ::-1] if path == qrsim.bell._HIDDEN_PATH else table
+            return table[:, ::-1] if systems[0].labels == ("M3",) else table
 
         monkeypatch.setattr(qrsim.bell, "_projector_product_table", z_reversed)
         with pytest.raises(NumericalInvariantError, match="axis 0 marginal deviates"):
             qrsim.bell._setting_grid(0.6, 0.8, (0.3, 1.2), (0.5,), True)
-
-    @pytest.mark.parametrize("count", [1, 4, 1024])
-    @pytest.mark.parametrize("include_m3", [True, False])
-    def test_fixed_plans_are_the_greedy_paths(self, monkeypatch, count, include_m3):
-        bell = qrsim.bell
-        kernel = qrsim.qrs._projector_product_table
-        calls = []
-
-        def recording(ket, systems, vectors, path=None):
-            calls.append((ket, systems, vectors, path))
-            return kernel(ket, systems, vectors, path)
-
-        monkeypatch.setattr(bell, "_projector_product_table", recording)
-        thetas = np.random.default_rng(count).uniform(-7.0, 7.0, (count, 2))
-        bell._run_batch([BellScenario(0.6, 0.8, t1, t2, include_m3) for t1, t2 in thetas])
-        plans = [bell._QUANTUM_PATHS[include_m3], bell._QUASI_PATHS[include_m3]]
-        if include_m3:
-            plans.append(bell._HIDDEN_PATH)
-        assert [path for *_, path in calls] == plans
-
-        einsum = np.einsum
-        searched = []
-
-        def searching(expr, *operands, optimize):
-            searched.append(np.einsum_path(expr, *operands, optimize=optimize)[0])
-            return einsum(expr, *operands, optimize=optimize)
-
-        monkeypatch.setattr(np, "einsum", searching)
-        for ket, systems, vectors, _ in calls:
-            kernel(ket, systems, vectors)
-        assert searched == [["einsum_path", *plan] for plan in plans]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import importlib.metadata
+import inspect
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from numpy.testing import assert_allclose
 
 import qrsim.bell
 import qrsim.cli
+import qrsim.qrs
 from qrsim import SWEEP_HEADER, CompositeSystem, PureState, chsh, joint_probability
 from qrsim.cli import main
 
@@ -69,12 +71,12 @@ def replace_bell_engine(monkeypatch, replacement):
 
 @pytest.fixture
 def counted_runs(monkeypatch):
-    """Settings of every scenario the Bell engine receives."""
+    """Every setting the Bell engine receives."""
     settings = []
 
-    def counting(scenarios):
-        settings.extend((s.theta1, s.theta2, s.include_m3) for s in scenarios)
-        return original(scenarios)
+    def counting(scenario, thetas1, thetas2):
+        settings.extend((t1, t2, scenario.include_m3) for t1, t2 in zip(thetas1, thetas2))
+        return original(scenario, thetas1, thetas2)
 
     original = replace_bell_engine(monkeypatch, counting)
     return settings
@@ -82,7 +84,7 @@ def counted_runs(monkeypatch):
 
 @pytest.fixture
 def refused_runs(monkeypatch):
-    def refuse(scenarios):
+    def refuse(scenario, thetas1, thetas2):
         raise AssertionError("the Bell engine was called before validation finished")
 
     replace_bell_engine(monkeypatch, refuse)
@@ -232,6 +234,20 @@ class TestSchmidtCommand:
     def test_unknown_cut_label(self, capsys, pair_file):
         rc, _, err = run_cli(capsys, "schmidt", pair_file, "--cut", "P1+X")
         assert rc == 2 and "'P1+X'" in err
+
+    def test_labels_with_a_plus_are_rejected(self, capsys, tmp_path):
+        data = {
+            "subsystems": [{"label": "P+Q", "dim": 2}, {"label": "R", "dim": 2}],
+            "state": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        }
+        path = tmp_path / "plus.json"
+        path.write_text(json.dumps(data))
+        for argv in (("schmidt", str(path), "--cut", "R"), ("joint", str(path), "P+Q", "R")):
+            rc, out, err = run_cli(capsys, *argv)
+            assert rc == 2 and out == ""
+            assert err == (
+                f"error: {path}: subsystem label 'P+Q' contains '+', which joins labels\n"
+            )
 
     def test_whole_system_cut_rejected(self, capsys, pair_file):
         rc, _, err = run_cli(capsys, "schmidt", pair_file, "--cut", "P1+P2")
@@ -571,6 +587,27 @@ class TestBellCommand:
         rc, _, _ = run_cli(capsys, "bell", *argv)
         assert rc == 0
         assert len(counted_runs) == runs == len(set(counted_runs))
+
+    def test_a_repeated_op_searches_no_contraction_path(self, capsys, monkeypatch):
+        searches = []
+        original = np.einsum_path
+
+        def counting(*operands, optimize="greedy", **kwargs):
+            # einsum passes an explicit path, which needs no search, on to here too
+            if optimize[0] != "einsum_path":
+                searches.append(operands[0])
+            return original(*operands, optimize=optimize, **kwargs)
+
+        monkeypatch.setattr(np, "einsum_path", counting)
+        monkeypatch.setitem(inspect.unwrap(np.einsum).__globals__, "einsum_path", counting)
+        monkeypatch.setattr(qrsim.qrs, "_PATHS", {})
+        argv = ("bell", "--theta1", "0.7", "--theta2", "1.9")
+        first = run_cli(capsys, *argv)
+        # one search each for the proper, formal and recorded networks
+        assert len(searches) == 3
+        searches.clear()
+        assert run_cli(capsys, *argv) == first
+        assert searches == []
 
     @pytest.mark.parametrize("a, b", [(INV_SQRT2, INV_SQRT2), (0.6, 0.8)])
     def test_chsh_values_match_the_library(self, capsys, a, b):

@@ -45,6 +45,11 @@ class TestCompositeSystem:
         with pytest.raises(ValidationError, match="duplicate"):
             CompositeSystem([("A", 2), ("A", 3)])
 
+    def test_label_with_a_plus_rejected(self):
+        # '+' joins labels in system expressions, so no expression could name it
+        with pytest.raises(ValidationError, match=r"label 'P\+Q' contains '\+'"):
+            CompositeSystem([("P+Q", 2), ("R", 2)])
+
     def test_trivial_dimension_rejected(self):
         with pytest.raises(ValidationError, match="dimension"):
             CompositeSystem([("A", 1)])

@@ -35,6 +35,7 @@ from qrsim import (
     possible_internal_states,
     state_of,
 )
+from qrsim.qrs import _check_quasi, _checked_joint
 
 
 def make_composite(dims, prefix="S"):
@@ -332,28 +333,6 @@ class TestFormalJoint:
         with pytest.raises(ValidationError, match="labels"):
             joint_probability([["A"]] * 26, psi)
 
-    def test_basis_override_roundtrip_and_validation(self):
-        rng = np.random.default_rng(84)
-        comp = make_composite((2, 2))
-        psi = PureState(comp, random_amplitudes(rng, 4))
-        default = formal_joint([["S1"], ["S2"]], psi)
-        override = [possible_internal_states(partial_trace(psi, "S1")), None]
-        same = formal_joint([["S1"], ["S2"]], psi, bases=override)
-        assert_allclose(same.table, default.table, atol=1e-15)
-
-        with pytest.raises(ValidationError, match="align"):
-            formal_joint([["S1"], ["S2"]], psi, bases=[None])
-        with pytest.raises(ValidationError, match="InternalStateEnsemble"):
-            formal_joint([["S1"], ["S2"]], psi, bases=[np.eye(2), None])
-        wrong_system = possible_internal_states(partial_trace(psi, "S2"))
-        with pytest.raises(ValidationError, match="override ensemble is for"):
-            formal_joint([["S1"], ["S2"]], psi, bases=[wrong_system, None])
-        incomplete = InternalStateEnsemble(
-            comp.subset(["S1"]), [1.0], np.array([[1.0], [0.0]])
-        )
-        with pytest.raises(ValidationError, match="complete"):
-            formal_joint([["S1"], ["S2"]], psi, bases=[incomplete, None])
-
 
 # ---------------------------------------------------------------------------
 
@@ -471,7 +450,7 @@ class TestDistributionContainers:
 
 
 class TestStackedDistributions:
-    """``_stack`` constructors check once per stack, as each member alone."""
+    """The table checks run once per stack and raise what each member alone raises."""
 
     COUNT = 4
     BAD = 2  # the corrupted member
@@ -480,6 +459,7 @@ class TestStackedDistributions:
         comp = CompositeSystem([("A", 3), ("B", 2)])
         self.systems = (comp.subset(["A"]), comp.subset(["B"]))
         rng = np.random.default_rng(17)
+        self.eigenvalues = []
         columns = []
         for s in self.systems:
             d = s.joint_dim
@@ -487,7 +467,9 @@ class TestStackedDistributions:
             vals[1, -1] = 0.0  # member 1 has an empty row and column
             vals[1] /= vals[1].sum()
             vecs = np.linalg.qr(rng.standard_normal((self.COUNT, d, d)))[0]
-            columns.append(InternalStateEnsemble._stack(s, vals, vecs, 1e-9, False))
+            column = [InternalStateEnsemble(s, v, u, 1e-9) for v, u in zip(vals, vecs)]
+            self.eigenvalues.append(np.stack([e.eigenvalues for e in column]))
+            columns.append(column)
         self.ensembles = list(zip(*columns))
         self.tables = np.stack(
             [np.outer(a.eigenvalues, b.eigenvalues) for a, b in self.ensembles]
@@ -505,21 +487,14 @@ class TestStackedDistributions:
     def test_clean_stacks_equal_single_constructions(self):
         self.tables[1, -1, 0] = -5e-10  # rounding noise, clipped to zero
         self.tables[1, -1, -1] = 5e-10
-        joints = JointDistribution._stack(self.systems, self.ensembles, self.tables)
-        quasis = QuasiDistribution._stack(self.systems, self.ensembles, self.quasi)
+        joints = _checked_joint(self.systems, self.eigenvalues, self.tables)
+        _check_quasi(self.eigenvalues, self.quasi)
         for i in range(self.COUNT):
-            for cls, stacked, table in (
-                (JointDistribution, joints[i], self.tables[i]),
-                (QuasiDistribution, quasis[i], self.quasi[i]),
-            ):
-                alone = cls(self.systems, self.ensembles[i], table.copy())
-                assert stacked.systems == alone.systems
-                assert all(x is y for x, y in zip(stacked.ensembles, alone.ensembles))
-                assert stacked.table.dtype == alone.table.dtype
-                assert stacked.table.shape == alone.table.shape
-                assert stacked.table.tobytes() == alone.table.tobytes()
-                assert not stacked.table.flags.writeable
-        assert joints[1].table[-1, 0] == 0.0
+            alone = JointDistribution(self.systems, self.ensembles[i], self.tables[i].copy())
+            assert joints[i].dtype == alone.table.dtype
+            assert joints[i].shape == alone.table.shape
+            assert joints[i].tobytes() == alone.table.tobytes()
+        assert joints[1, -1, 0] == 0.0
 
     @pytest.mark.parametrize("corruption", ["floor", "above one", "sum", "marginal", "nan"])
     def test_a_corrupt_joint_member_raises_its_single_error(self, corruption):
@@ -536,7 +511,7 @@ class TestStackedDistributions:
             table[:] = table[::-1].copy()
         self.assert_same_error(
             lambda: JointDistribution(self.systems, self.ensembles[self.BAD], table),
-            lambda: JointDistribution._stack(self.systems, self.ensembles, self.tables),
+            lambda: _checked_joint(self.systems, self.eigenvalues, self.tables),
         )
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
@@ -545,16 +520,16 @@ class TestStackedDistributions:
         bad = self.BAD
         self.assert_same_error(
             lambda: QuasiDistribution(self.systems, self.ensembles[bad], self.quasi[bad]),
-            lambda: QuasiDistribution._stack(self.systems, self.ensembles, self.quasi),
+            lambda: _check_quasi(self.eigenvalues, self.quasi),
         )
 
     def test_shape_and_alignment_are_checked_per_member(self):
         short = [members[:1] for members in self.ensembles]
         self.assert_same_error(
             lambda: JointDistribution(self.systems, short[0], self.tables[0]),
-            lambda: JointDistribution._stack(self.systems, short, self.tables),
+            lambda: _checked_joint(self.systems, self.eigenvalues[:1], self.tables),
         )
         self.assert_same_error(
             lambda: QuasiDistribution(self.systems, short[0], self.quasi[0]),
-            lambda: QuasiDistribution._stack(self.systems, short, self.quasi),
+            lambda: _check_quasi(self.eigenvalues[:1], self.quasi),
         )

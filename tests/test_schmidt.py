@@ -8,6 +8,7 @@ from conftest import random_amplitudes
 from qrsim import (
     CompositeSystem,
     InternalStateEnsemble,
+    NumericalInvariantError,
     PureState,
     SchmidtDecomposition,
     ValidationError,
@@ -17,6 +18,7 @@ from qrsim import (
     schmidt_decompose,
 )
 from qrsim.hilbert import DensityMatrix
+from qrsim.schmidt import _checked_eigen, _checked_ensembles
 
 
 def pair_system():
@@ -160,7 +162,7 @@ def random_ensembles(rng, d, count):
 
 
 class TestStackedEnsembles:
-    """``InternalStateEnsemble._stack`` checks once per stack, as each member alone."""
+    """``_checked_ensembles`` checks once per stack, as each member's construction."""
 
     COUNT = 5
     BAD = 3  # the corrupted member
@@ -170,30 +172,25 @@ class TestStackedEnsembles:
         self.vals, self.vecs = random_ensembles(np.random.default_rng(11), 3, self.COUNT)
         self.vals[1, -1] = 0.0  # a negligible state
         self.vals[1] /= self.vals[1].sum()
-        self.flags = [True, False, False, True, False]
 
     def test_clean_stack_equals_single_constructions(self):
-        stack = InternalStateEnsemble._stack(self.sub, self.vals, self.vecs, 1e-9, self.flags)
-        assert len(stack) == self.COUNT
-        for i, ens in enumerate(stack):
-            alone = InternalStateEnsemble(
-                self.sub, self.vals[i], self.vecs[i], 1e-9, degenerate=self.flags[i]
-            )
-            assert ens.subsystem is alone.subsystem
-            assert ens.tolerance == alone.tolerance
-            assert ens.degenerate is alone.degenerate
-            for name in ("eigenvalues", "vectors", "negligible"):
-                got, want = getattr(ens, name), getattr(alone, name)
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
-                assert not got.flags.writeable
-        assert stack[1].negligible.tolist() == [False, False, True]
+        vals, negligible = _checked_ensembles(3, self.vals, self.vecs, 1e-9, None)
+        assert vals.shape == negligible.shape == (self.COUNT, 3)
+        for i in range(self.COUNT):
+            alone = InternalStateEnsemble(self.sub, self.vals[i], self.vecs[i], 1e-9)
+            for got, want in ((vals[i], alone.eigenvalues), (negligible[i], alone.negligible)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert negligible[1].tolist() == [False, False, True]
 
     def test_stack_holds_copies(self):
-        stack = InternalStateEnsemble._stack(self.sub, self.vals, self.vecs, 1e-9, False)
-        before = stack[0].vectors.copy()
+        # the containers built from a stack's rows keep their own copies
+        ens = InternalStateEnsemble(self.sub, self.vals[0], self.vecs[0], 1e-9)
+        before = ens.vectors.copy(), ens.eigenvalues.copy()
         self.vecs[0] = 0.0
-        assert np.array_equal(stack[0].vectors, before)
+        self.vals[0] = 0.0
+        assert np.array_equal(ens.vectors, before[0])
+        assert np.array_equal(ens.eigenvalues, before[1])
+        assert not ens.vectors.flags.writeable
 
     @pytest.mark.parametrize(
         "corruption", ["order", "range", "sum", "gram", "nan value", "nan vector"]
@@ -215,9 +212,19 @@ class TestStackedEnsembles:
         with pytest.raises(ValidationError) as alone:
             InternalStateEnsemble(self.sub, vals, vecs, 1e-9)
         with pytest.raises(ValidationError) as stacked:
-            InternalStateEnsemble._stack(self.sub, self.vals, self.vecs, 1e-9, False)
+            _checked_ensembles(3, self.vals, self.vecs, 1e-9, None)
         assert type(stacked.value) is type(alone.value)
         assert str(stacked.value) == str(alone.value)
+
+    def test_a_corrupt_eigendecomposition_raises_its_single_error(self):
+        self.vecs[self.BAD][:, 0] *= 1.01
+        one = slice(self.BAD, self.BAD + 1)
+        with pytest.raises(NumericalInvariantError) as alone:
+            _checked_eigen(3, self.vals[one], self.vecs[one], 1e-9)
+        with pytest.raises(NumericalInvariantError) as stacked:
+            _checked_eigen(3, self.vals, self.vecs, 1e-9)
+        assert str(stacked.value) == str(alone.value)
+        assert str(alone.value).startswith("eigendecomposition broke an invariant: ")
 
 
 # ---------------------------------------------------------------------------
