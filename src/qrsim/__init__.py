@@ -21,7 +21,6 @@ from .hilbert import (
     apply,
     as_subsystem_set,
     partial_trace,
-    permute_operator_factors,
     permute_vector_factors,
 )
 from .schmidt import (
@@ -92,7 +91,6 @@ __all__ = [
     "formal_joint",
     "joint_probability",
     "partial_trace",
-    "permute_operator_factors",
     "permute_vector_factors",
     "possible_internal_states",
     "reconstruct",

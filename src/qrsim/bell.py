@@ -39,19 +39,11 @@ from .hilbert import (
     CompositeSystem,
     NORM_ACCEPT_BAND,
     PureState,
-    _check_unitary,
     _evolve,
     _lock,
     _pure_reductions,
 )
-from .measurement import (
-    MeasurementDevice,
-    _check_basis,
-    _coupling_matrix,
-    _sample_count,
-    build_measurement_unitary,
-    spin_basis,
-)
+from .measurement import _DeviceCoupling, _seeded_draws, spin_basis
 from .qrs import (
     JointDistribution,
     QuasiDistribution,
@@ -292,36 +284,28 @@ def _checked_correlators(blocks: np.ndarray, values, what: str) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     e = np.sum(np.outer(v, v) * blocks, axis=(-2, -1))
     worst = float(e[np.argmax(np.abs(e))])
-    if abs(worst) > 1.0 + _CORRELATOR_BOUND_ATOL:
-        raise NumericalInvariantError(f"correlator {worst!r} outside [-1, 1]")
+    # E averages products of two outcome values, so |E| <= max|v|^2
+    bound = float(np.max(v * v))
+    if abs(worst) > bound * (1.0 + _CORRELATOR_BOUND_ATOL):
+        raise NumericalInvariantError(f"correlator {worst!r} outside [-{bound:g}, {bound:g}]")
     return e
 
 
-def _device_couplings(thetas) -> np.ndarray:
-    """Stacked coupling matrices on (particle, pointer) of angled devices.
-
-    Runs the orthonormality check of ``MeasurementDevice`` on every basis
-    and the unitarity check of ``LocalOperator`` on every coupling.
-    """
-    bases = spin_basis(thetas)
-    _check_basis(bases)
-    couplings = _coupling_matrix(bases, _POINTERS, _READY, _POINTER_DIM)
-    _check_unitary(couplings)
-    return couplings
-
-
-def _chi_vectors(a: complex, b: complex, u1: np.ndarray) -> tuple:
+def _chi_vectors(a: complex, b: complex, bases: np.ndarray) -> tuple:
     """Post-interaction internal states of (first particle + its pointer).
 
     The reduced matrix of that compound is degenerate whenever |a| = |b|,
     so its eigenbasis alone does not single out the physically evolved
-    states; they are the coupling unitary's columns at (pair-basis vector,
-    ready pointer), in descending weight, padded with an orthonormal
-    completion at probability zero.  Returns (eigenvalues, stacked vectors).
+    states; they are the first coupling's images of (pair-basis vector k,
+    ready pointer), sum_j <b_j|k> |b_j>|pointer_j> for the stacked
+    ``bases``, in descending weight, padded with an orthonormal completion
+    at probability zero.  Returns (eigenvalues, stacked vectors).
     """
     weights = np.abs(np.array([a, -b], dtype=complex)) ** 2
     order = np.argsort(-weights, kind="stable")
-    chi = u1[:, :, [k * _POINTER_DIM + _READY for k in order]]
+    chi = np.zeros((len(bases), 2, _POINTER_DIM, len(order)), dtype=complex)
+    chi[:, :, list(_POINTERS)] = np.einsum("nij,ncj->nijc", bases, bases[:, order].conj())
+    chi = chi.reshape(len(bases), 2 * _POINTER_DIM, -1)
     full_basis = np.linalg.svd(chi)[0]
     vectors = np.concatenate([chi, full_basis[:, :, chi.shape[-1]:]], axis=-1)
     eigenvalues = np.concatenate(
@@ -366,15 +350,16 @@ def _run_batch(scenario: BellScenario, thetas1, thetas2) -> dict:
     comp = CompositeSystem(subsystems)
     m1 = comp.subset([DEVICE_1])
     m2 = comp.subset([DEVICE_2])
+    p1 = comp.subset([PARTICLE_1])
     p1m1 = comp.subset([PARTICLE_1, DEVICE_1])
-    p2m2 = comp.subset([PARTICLE_2, DEVICE_2])
     ready = dict.fromkeys((DEVICE_1, DEVICE_2, DEVICE_3), _READY)
     psi0 = build_bell_state(scenario.a, scenario.b, comp, ready)
 
-    # both supports list the particle before its pointer, the couplings' order
-    u1 = _device_couplings(thetas1)
-    u2 = _device_couplings(thetas2)
-    angled = [(u1, p1m1.axes), (u2, p2m2.axes)]
+    u1 = _DeviceCoupling(p1, DEVICE_1, spin_basis(thetas1), _POINTERS, _READY)
+    u2 = _DeviceCoupling(
+        comp.subset([PARTICLE_2]), DEVICE_2, spin_basis(thetas2), _POINTERS, _READY
+    )
+    angled = [u1._step(comp.labels), u2._step(comp.labels)]
     psi_q = _evolve(psi0.tensor_view()[None], angled)
     reduced = [
         _pure_reductions(psi_q.reshape(n, -1), comp.dims, m.axes) for m in (m1, m2)
@@ -382,11 +367,8 @@ def _run_batch(scenario: BellScenario, thetas1, thetas2) -> dict:
     pointers = (m1, m2)
     if include_m3:
         m3 = comp.subset([DEVICE_3])
-        d3 = MeasurementDevice.from_basis(
-            DEVICE_3, np.eye(2, dtype=complex), _POINTER_DIM, _READY, _POINTERS
-        )
-        u3 = build_measurement_unitary(d3, comp.subset([PARTICLE_1]))
-        psi_h = _evolve(psi0.tensor_view()[None], [(u3.matrix, u3.support.axes)] + angled)
+        u3 = _DeviceCoupling(p1, DEVICE_3, np.eye(2, dtype=complex), _POINTERS, _READY)
+        psi_h = _evolve(psi0.tensor_view()[None], [u3._step(comp.labels)] + angled)
         reduced += [
             _pure_reductions(psi_h.reshape(n, -1), comp.dims, m.axes)
             for m in (m3, m1, m2)
@@ -399,7 +381,7 @@ def _run_batch(scenario: BellScenario, thetas1, thetas2) -> dict:
     indices = _outcome_indices(vectors)
 
     quantum_raw = _real_table(_projector_product_table(psi_q, (m1, m2), vectors[:2]))
-    chi_weights, chi_vectors = _chi_vectors(scenario.a, scenario.b, u1)
+    chi_weights, chi_vectors = _chi_vectors(scenario.a, scenario.b, u1.basis)
     quasi = _projector_product_table(
         psi_q, (p1m1, m1, m2), (chi_vectors, vectors[0], vectors[1])
     )
@@ -610,13 +592,6 @@ def sweep(
 
 def sample_joint_outcomes(table: np.ndarray, count: int, seed: int) -> np.ndarray:
     """Seeded outcome counts with the table's shape (table entries as weights)."""
-    count = _sample_count(count)
     table = np.asarray(table, dtype=float)
-    flat = np.clip(table.reshape(-1), 0.0, None)
-    total = flat.sum()
-    if total <= 0.0:
-        raise ValidationError("cannot sample from an all-zero table")
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
-    draws = rng.choice(flat.size, size=count, p=flat / total)
-    counts = np.bincount(draws, minlength=flat.size)
-    return counts.reshape(table.shape)
+    draws = _seeded_draws(np.clip(table.reshape(-1), 0.0, None), count, seed)
+    return np.bincount(draws, minlength=table.size).reshape(table.shape)

@@ -537,7 +537,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--chsh-angles",
         default=None,
         metavar="A1,A2,B1,B2",
-        help="emit the CHSH combination for four comma-separated angles",
+        help="emit the CHSH combination for four comma-separated angles; a negative "
+        "first angle needs the one-token form --chsh-angles=-A1,A2,B1,B2",
     )
     p_bell.add_argument("--seed", type=int, default=0, help="sampling seed")
     p_bell.add_argument(

@@ -290,22 +290,22 @@ class LocalOperator:
             )
         if not np.all(np.isfinite(mat)):
             raise ValidationError("operator entries must be finite")
-        _check_unitary(mat)
+        dev = _unitary_deviation(mat)
+        if dev > UNITARY_ATOL:
+            raise ValidationError(
+                f"matrix is not unitary: max deviation {dev:.3e} > {UNITARY_ATOL}"
+            )
         object.__setattr__(self, "matrix", _lock(mat.copy()))
+
+    def _step(self, labels) -> tuple:
+        """This operator's ``_evolve`` step on a register with factor ``labels``."""
+        return [labels.index(l) for l in self.support.labels], self.matrix, None
 
 
 def _unitary_deviation(mats: np.ndarray) -> float:
     """Largest entry of |M^H M - I| over one square matrix or a stack of them."""
     d = mats.shape[-1]
     return float(np.max(np.abs(mats.conj().swapaxes(-1, -2) @ mats - np.eye(d))))
-
-
-def _check_unitary(mats: np.ndarray) -> None:
-    dev = _unitary_deviation(mats)
-    if dev > UNITARY_ATOL:
-        raise ValidationError(
-            f"matrix is not unitary: max deviation {dev:.3e} > {UNITARY_ATOL}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -317,49 +317,46 @@ def permute_vector_factors(vec: np.ndarray, dims: Sequence[int], perm: Sequence[
     return t.transpose(perm).reshape(-1)
 
 
-def permute_operator_factors(mat: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Re-lay-out a product-space operator from factor order F to [F[p] for p in perm]."""
-    dims = tuple(dims)
-    n = len(dims)
-    d = math.prod(dims)
-    t = np.asarray(mat).reshape(dims + dims)
-    axes = tuple(perm) + tuple(n + p for p in perm)
-    return t.transpose(axes).reshape(d, d)
-
-
 # ---------------------------------------------------------------------------
 # operations
 
-def apply(op: LocalOperator, state: PureState) -> PureState:
-    """Apply a local unitary to a state (norm-preserving evolution)."""
+def apply(op, state: PureState) -> PureState:
+    """Apply a ``LocalOperator`` or a device coupling to a state, by the operator's step."""
     system = state.system
-    positions = []
     for lbl in op.support.labels:
         if lbl not in system.labels:
             raise ValidationError(f"support label {lbl!r} is not part of the state")
         if system.dim_of(lbl) != op.support.parent.dim_of(lbl):
             raise ValidationError(f"dimension mismatch for {lbl!r}")
-        positions.append(system.axis(lbl))
-    out = _evolve(state.tensor_view()[None], [(op.matrix, positions)])
+    out = _evolve(state.tensor_view()[None], [op._step(system.labels)])
     return _frozen(PureState, system=system, amplitudes=_lock(out.reshape(-1)))
 
 
 def _evolve(tensors: np.ndarray, steps) -> np.ndarray:
-    """Stacked states after each (matrices, positions) step of ``steps``, in order.
+    """Stacked states after each (positions, matrices, gather) step of ``steps``, in order.
 
     ``tensors`` has a leading stack axis, then one axis per subsystem.  A
-    step applies one operator in its support's factor order, or a stack of
-    them that broadcasts against the states, to the ``positions`` axes; then
-    each state is checked to have kept norm 1 and is divided by its norm.
-    The squared norms are row-by-column ``matmul`` products, the dot
+    step acts on the ``positions`` axes in that order, with ``matrices`` one
+    matrix or a stack that broadcasts against the states.  With ``gather``
+    None, ``matrices`` is the operator.  Otherwise the step is a device
+    coupling, the pointer last: rotate the target by the measured bases'
+    adjoints, gather the flat (basis index, pointer) slots, rotate back.
+    Then each state is checked to have kept norm 1 and is divided by its
+    norm.  The squared norms are row-by-column ``matmul`` products, the dot
     products ``np.linalg.norm`` sums, so a stack evolves as each of its
     states would alone, and normalizes as ``PureState`` does.
     """
-    for matrices, positions in steps:
+    for positions, matrices, gather in steps:
         axes = [1 + p for p in positions]
         front = range(1, 1 + len(axes))
         moved = np.moveaxis(tensors, axes, front)
-        out = matrices @ moved.reshape(len(moved), matrices.shape[-1], -1)
+        blocks = moved.reshape(len(moved), matrices.shape[-1], -1)
+        if gather is None:
+            out = matrices @ blocks
+        else:
+            rotated = matrices.conj().swapaxes(-1, -2) @ blocks
+            shifted = rotated.reshape(len(rotated), gather.size, -1)[:, gather]
+            out = matrices @ shifted.reshape(rotated.shape)
         out = np.moveaxis(out.reshape(out.shape[:1] + moved.shape[1:]), front, axes)
         flat = out.reshape(len(out), -1)
         re, im = flat.real[:, None, :], flat.imag[:, None, :]

@@ -1,15 +1,16 @@
 """Pointer-coupling dynamics and seeded readout of internal states.
 
-A perfect measurement is a unitary on (measured system, pointer) steering
-the pointer's ready state to a distinct position for each measured-basis
-vector: |b_k>|m_ready> -> |b_k>|m_k>.  Only those columns are physically
-fixed; the rest of each basis block is completed with a cyclic pointer
-permutation, which is exactly unitary and never populated by a run started
-from the ready state.
+A perfect measurement is the von Neumann premeasurement on (measured
+system, pointer), U = sum_k |b_k><b_k| (x) S_k, with S_k the cyclic pointer
+shift from the ready position to outcome k's: |b_k>|m_ready> -> |b_k>|m_k>.
+U stays factored, the measured basis B plus a pointer gather index, and is
+applied as one step: rotate the target by B^H, shift each basis index's
+pointer, rotate back by B.  No dense matrix or U^H U is formed: U is
+unitary because B is checked orthonormal and each S_k permutes positions.
 
 Readout statistics live in the pointer's possible internal states, so
-sampling an outcome reduces to drawing an index from an ensemble's
-probability vector with a seeded generator.
+sampling an outcome reduces to drawing an index from a probability vector
+with a seeded generator.
 """
 
 from __future__ import annotations
@@ -19,14 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .hilbert import (
-    LocalOperator,
-    SubsystemSet,
-    UNITARY_ATOL,
-    _lock,
-    _unitary_deviation,
-    permute_operator_factors,
-)
+from .hilbert import UNITARY_ATOL, SubsystemSet, _evolve, _lock, _unitary_deviation
 from .schmidt import InternalStateEnsemble
 
 SAMPLER_ALGORITHM = "numpy.random.PCG64"
@@ -136,10 +130,10 @@ class MeasurementDevice:
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
             raise ValidationError("basis must be a square matrix of column vectors")
         d = basis.shape[1]
-        if pointer_dim is None:
-            pointer_dim = d + 1
-        if pointers is None:
-            pointers = [(int(ready_index) + 1 + k) % int(pointer_dim) for k in range(d)]
+        pointer_dim = d + 1 if pointer_dim is None else pointer_dim
+        if pointers is None:  # cls() refuses a pointer_dim below d, 0 included
+            p = max(int(pointer_dim), 1)
+            pointers = [(int(ready_index) + 1 + k) % p for k in range(d)]
         if len(pointers) != d:
             raise ValidationError("pointers must assign one index per basis vector")
         outcome_map = tuple(
@@ -163,35 +157,47 @@ def _check_basis(bases: np.ndarray) -> None:
         )
 
 
-def _coupling_matrix(bases: np.ndarray, pointers, ready_index: int, pointer_dim: int):
-    """Coupling matrix on (measured system, pointer), in that factor order.
+class _DeviceCoupling:
+    """Premeasurement sum_k |b_k><b_k| (x) S_k on ``target`` and ``pointer``, factored.
 
-    ``bases`` is one measured basis (columns) or a stack of them.  Outcome k
-    shifts the pointer cyclically by s_k = pointers[k] - ready_index, so its
-    projector |b_k><b_k| fills the slots u[:, (q + s_k) % p, :, q] of the
-    (d, p, d, p) tensor.  Slots are accumulated into zeros, which gives the
-    same bits as summing kron(|b_k><b_k|, shift_k) over k.
+    ``bases`` is one measured basis (columns) or a stack of them, checked
+    orthonormal here.  S_k shifts the pointer by s_k = pointers[k] -
+    ready_index, so flat (basis index, pointer) slot k * p + q takes its
+    amplitude from ``gather[k * p + q]`` = k * p + (q - s_k) mod p.
+    ``order`` is the step's axes: the target's labels, then the pointer.
     """
-    d = bases.shape[-1]
-    p = pointer_dim
-    u = np.zeros(bases.shape[:-2] + (d, p, d, p), dtype=complex)
-    q = np.arange(p)
-    for k, pointer in enumerate(pointers):
-        vec = bases[..., :, k]
-        u[..., :, (q + pointer - ready_index) % p, :, q] += (
-            vec[..., :, None] * vec[..., None, :].conj()
-        )
-    return u.reshape(bases.shape[:-2] + (d * p, d * p))
+
+    def __init__(self, target: SubsystemSet, pointer: str, bases, pointers, ready_index):
+        _check_basis(bases)
+        p = target.parent.dim_of(pointer)
+        shifts = np.asarray(pointers)[:, None] - ready_index
+        source = (np.arange(p) - shifts) % p + p * np.arange(len(shifts))[:, None]
+        self.support = SubsystemSet(target.parent, target.members | {pointer})
+        self.order = target.labels + (pointer,)
+        self.basis = bases
+        self.gather = source.reshape(-1)
+
+    def _step(self, labels) -> tuple:
+        """This coupling's ``_evolve`` step on a register with factor ``labels``."""
+        return [labels.index(l) for l in self.order], self.basis, self.gather
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense matrix in the support's factor order, built anew on each read."""
+        d = self.support.joint_dim
+        columns = np.eye(d, dtype=complex).reshape((d,) + self.support.dims)
+        return _evolve(columns, [self._step(self.support.labels)]).reshape(d, d).T
 
 
 def build_measurement_unitary(
     device: MeasurementDevice, target: SubsystemSet
-) -> LocalOperator:
+) -> _DeviceCoupling:
     """Coupling unitary on (target, pointer) implementing the device.
 
-    Acts as |b_k>|m_ready> -> |b_k>|m_pk|; within each measured-basis block
-    the pointer undergoes the cyclic shift taking ready to that outcome's
-    position, which completes the mapping to a full unitary.
+    Acts as |b_k>|m_ready> -> |b_k>|m_pk>, shifting the pointer cyclically
+    within each measured-basis block.  The basis, orthonormal within
+    UNITARY_ATOL, is replaced by its polar factor, the nearest orthonormal
+    basis, so evolution keeps the norm to rounding error.
     """
     parent = target.parent
     if not target.members:
@@ -216,16 +222,10 @@ def build_measurement_unitary(
             f"measured-basis dimension {device.basis.shape[0]} does not match "
             f"target dimension {d}"
         )
-    u = _coupling_matrix(
-        device.basis, device.pointers, device.ready_index, device.pointer_dim
+    u, _, vh = np.linalg.svd(device.basis)
+    return _DeviceCoupling(
+        target, device.label, u @ vh, device.pointers, device.ready_index
     )
-    built_order = list(target.labels) + [device.label]
-    support = SubsystemSet(parent, target.members | {device.label})
-    canonical = support.labels
-    dims = [parent.dim_of(l) for l in built_order]
-    perm = [built_order.index(l) for l in canonical]
-    matrix = permute_operator_factors(u, dims, perm)
-    return LocalOperator(support=support, matrix=matrix)
 
 
 def spin_basis(theta) -> np.ndarray:
@@ -256,12 +256,18 @@ def _sample_count(count) -> int:
     return count
 
 
+def _seeded_draws(weights: np.ndarray, count, seed) -> np.ndarray:
+    """``count`` PCG64 draws of indices in proportion to ``weights``, count checked first."""
+    count = _sample_count(count)
+    total = weights.sum()
+    if total <= 0.0:
+        raise ValidationError("cannot sample from an all-zero table")
+    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    return rng.choice(weights.size, size=count, p=weights / total)
+
+
 def sample_outcome_indices(
     ensemble: InternalStateEnsemble, count: int, seed: int
 ) -> np.ndarray:
     """Vector of ``count`` seeded draws from the ensemble's probabilities."""
-    count = _sample_count(count)
-    weights = ensemble.eigenvalues
-    probs = weights / float(weights.sum())
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
-    return rng.choice(probs.size, size=count, p=probs)
+    return _seeded_draws(ensemble.eigenvalues, count, seed)

@@ -128,6 +128,21 @@ class TestRunAgainstClosedForms:
         assert_allclose(res.quasi_table.sum(axis=0).real, res.quantum_table, atol=1e-12)
         assert_allclose(res.quasi_table.sum(axis=0).imag, 0.0, atol=1e-12)
 
+    def test_correlators_are_bounded_by_the_largest_squared_value(self):
+        # with values (0.5, -2) a correlator reaches up to 4 in magnitude
+        values = np.array([0.5, -2.0])
+        thetas = np.linspace(0.0, 6.0, 13)
+        grid = qrsim.bell._setting_grid(0.6, 0.8, thetas, thetas, True, tuple(values))
+        weights = np.outer(values, values)
+        for model in ("quantum", "hidden"):
+            tables = grid[f"{model}_table"]
+            want = np.sum(weights * tables, axis=(-2, -1))
+            assert_allclose(grid[f"E_{model}"], want, rtol=0, atol=1e-12)
+        assert np.max(np.abs(grid["E_quantum"])) > 2.0
+        res = run_bell(BellScenario(0.6, 0.8, 0.0, 3.0, outcome_values=tuple(values)))
+        assert res.E_quantum == pytest.approx(np.sum(weights * res.quantum_table), abs=1e-12)
+        assert res.E_hidden == pytest.approx(np.sum(weights * res.hidden_table), abs=1e-12)
+
     def test_outcome_index_bookkeeping(self):
         res = run_bell(BellScenario(0.6, 0.8, 0.7, 1.9))
         for idx in (res.m1_outcome_indices, res.m2_outcome_indices):
@@ -355,6 +370,21 @@ class TestSampling:
             sample_joint_outcomes(np.ones((2, 2)) / 4, 0, seed=0)
         with pytest.raises(ValidationError, match="all-zero"):
             sample_joint_outcomes(np.zeros((2, 2)), 10, seed=0)
+
+    def test_draws_are_pcg64_choices_on_the_normalized_weights(self):
+        # both samplers pin their first draws to a direct generator call
+        table = np.array([[0.1, 0.4], [0.3, 0.2]])
+        direct = np.random.Generator(np.random.PCG64(42)).choice(
+            4, size=200, p=table.reshape(-1) / table.sum()
+        )
+        want = np.bincount(direct, minlength=4).reshape(2, 2)
+        assert np.array_equal(sample_joint_outcomes(table, 200, seed=42), want)
+        ensemble = run_bell(BellScenario(0.6, 0.8, 0.7, 1.9)).quantum_joint.ensembles[0]
+        weights = ensemble.eigenvalues
+        direct = np.random.Generator(np.random.PCG64(42)).choice(
+            weights.size, size=200, p=weights / weights.sum()
+        )
+        assert np.array_equal(sample_outcome_indices(ensemble, 200, seed=42), direct)
 
     def test_count_is_capped_before_drawing(self):
         assert MAX_SAMPLES == 10 ** 7

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -502,6 +502,18 @@ class TestBellCommand:
         rc, _, err = run_cli(capsys, "bell", "--chsh-angles", "0,1,2,x")
         assert rc == 2 and "could not parse" in err
 
+    def test_a_negative_first_angle_takes_the_equals_form(self, capsys):
+        angles = "-0.45,1.54,6.03,-3.56"
+        rc, out, err = run_cli(capsys, "bell", f"--chsh-angles={angles}", "--model", "quantum")
+        assert rc == 0 and err == ""
+        data = json.loads(out)
+        assert data["angles"] == [-0.45, 1.54, 6.03, -3.56]
+        want = chsh(INV_SQRT2, INV_SQRT2, data["angles"])
+        assert data["S_quantum"] == pytest.approx(want, abs=1e-12)
+        with pytest.raises(SystemExit):
+            main(["bell", "--help"])
+        assert "--chsh-angles=-A1,A2,B1,B2" in capsys.readouterr().out
+
     def test_mode_exclusivity(self, capsys):
         rc, _, err = run_cli(capsys, "bell", "--sweep", "4", "--chsh-angles", "0,1,2,3")
         assert rc == 2 and "one of" in err
@@ -644,6 +656,96 @@ class TestBellCommand:
             main(["bell", "--model", "classical"])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+def random_state(rng, total):
+    amps = rng.normal(size=total) + 1j * rng.normal(size=total)
+    return amps / np.linalg.norm(amps)
+
+
+def pairs(matrix):
+    """A JSON list of [re, im] pairs per row of ``matrix``."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(matrix)]
+
+
+def valid_or_edge(draw, valid, edge):
+    """A draw from ``valid`` nine times in ten, else from ``edge``."""
+    return draw(valid if draw(st.integers(0, 9)) else edge)
+
+
+# edge values for integer fields: negative, zero, one, past the cap, or not an int
+BAD_INTEGERS = st.sampled_from([-1, 0, 1, 64, True, 2.5, "3", None])
+
+
+@st.composite
+def device_entries(draw, label, d, pointer_dim, seed):
+    """A device on the d-dim target S, edge values included; ``theta`` ones need d = 2."""
+    rng = np.random.default_rng(seed)
+    target = valid_or_edge(draw, st.sampled_from(["S", ["S"]]), st.sampled_from([label, "X", []]))
+    entry = {"label": label, "target": target}
+    if d == 2 and draw(st.booleans()):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        entry["theta"] = valid_or_edge(draw, finite, st.sampled_from([math.nan, math.inf, "1"]))
+    else:
+        q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        # inside the acceptance band of the orthonormality check, then outside it
+        eps = valid_or_edge(
+            draw, st.sampled_from([0.0, 1e-13, 3e-12, 3e-11]), st.sampled_from([5e-10, 1e-3, 1.0])
+        )
+        count = valid_or_edge(draw, st.just(d), st.sampled_from([d - 1, d + 1]))
+        entry["basis"] = pairs((q + eps * rng.normal(size=(d, d))).T[:count])
+    if pointer_dim != d + 1 or not draw(st.booleans()):
+        entry["pointer_dim"] = valid_or_edge(draw, st.just(pointer_dim), BAD_INTEGERS)
+    if draw(st.booleans()):
+        ready = st.integers(0, pointer_dim - 1)
+        entry["ready_index"] = valid_or_edge(draw, ready, st.sampled_from([pointer_dim, -1, True]))
+    if draw(st.booleans()):
+        valid = st.permutations(range(pointer_dim)).map(lambda p: list(p[:d]))
+        edge = st.lists(st.one_of(st.integers(-1, pointer_dim), BAD_INTEGERS), max_size=d + 1)
+        entry["pointers"] = valid_or_edge(draw, valid, edge)
+    return entry
+
+
+@st.composite
+def device_scenarios(draw):
+    """A scenario with one or two devices on a target S; a few break the cap of 64."""
+    d = draw(st.integers(2, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    subsystems, devices = [("S", d)], []
+    for label in ["M", "N"][: draw(st.integers(1, 2 if d < 4 else 1))]:
+        pointer_dim = draw(st.integers(d, d + 2))
+        declared = valid_or_edge(draw, st.just(pointer_dim), st.sampled_from([d - 1, 17]))
+        subsystems.append((label, declared))
+        devices.append(draw(device_entries(label, d, pointer_dim, seed)))
+    subsystems = draw(st.permutations(subsystems))
+    total = int(np.prod([dim for _, dim in subsystems]))
+    data = {
+        "subsystems": [{"label": label, "dim": dim} for label, dim in subsystems],
+        "devices": devices,
+        "state": pairs(random_state(np.random.default_rng(seed), min(total, 64)))[0],
+    }
+    command = draw(st.sampled_from([["joint", "M"], ["joint", "S+M"], ["schmidt", "--cut", "S"]]))
+    return data, command
+
+
+class TestScenarioFuzz:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(device_scenarios())
+    def test_device_scenarios_exit_0_or_2(self, capsys, monkeypatch, tmp_path, case):
+        data, command = case
+        monkeypatch.setenv("QRS_MAX_DIM", "64")
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(data))
+        rc, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+        if rc == 0:
+            assert err == "" and json.loads(out)
+        else:
+            assert rc == 2 and out == "" and err.startswith("error: "), err
 
 
 def write_amplitude_scenario(tmp_path, where, bad=None):

@@ -17,7 +17,7 @@ from qrsim import (
     as_subsystem_set,
     partial_trace,
 )
-from qrsim.hilbert import permute_operator_factors, permute_vector_factors
+from qrsim.hilbert import permute_vector_factors
 
 
 def make_composite(dims, prefix="S"):
@@ -215,13 +215,6 @@ class TestPermutations:
         inverse = [perm.index(i) for i in range(3)]
         back = permute_vector_factors(moved, [dims[p] for p in perm], inverse)
         assert_allclose(back, v)
-
-    def test_operator_permutation_matches_kron_reordering(self):
-        rng = np.random.default_rng(12)
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        swapped = permute_operator_factors(np.kron(a, b), (2, 3), [1, 0])
-        assert_allclose(swapped, np.kron(b, a), atol=1e-14)
 
 
 class TestTensorEmbedApply:

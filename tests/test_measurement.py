@@ -1,11 +1,18 @@
 """Pointer-coupling unitaries, angle bases, seeded readout."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_amplitudes
+import qrsim.bell
+from conftest import kron_embedded, random_amplitudes, xi_columns
 from qrsim import (
+    BellScenario,
     CompositeSystem,
     InternalStateEnsemble,
     MeasurementDevice,
@@ -19,7 +26,8 @@ from qrsim import (
     sample_outcome_indices,
     spin_basis,
 )
-from qrsim.measurement import _coupling_matrix
+from qrsim.hilbert import _evolve
+from qrsim.measurement import _DeviceCoupling
 
 
 def pointer_composite(system_dim=2, pointer_dim=3):
@@ -33,6 +41,41 @@ def z_device(pointer_dim=3, **kwargs):
 def random_unitary(rng, d):
     q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def kron_sum(basis, pointers, ready, pointer_dim):
+    """sum_k |b_k><b_k| (x) S_k in (target, pointer) order, one kron term per outcome.
+
+    S_k is the cyclic pointer shift taking ``ready`` to ``pointers[k]``.
+    """
+    d = basis.shape[0]
+    oracle = np.zeros((d * pointer_dim, d * pointer_dim), dtype=complex)
+    for k, pointer in enumerate(pointers):
+        shift = np.roll(np.eye(pointer_dim), (pointer - ready) % pointer_dim, axis=0)
+        oracle += np.kron(np.outer(basis[:, k], basis[:, k].conj()), shift)
+    return oracle
+
+
+@st.composite
+def coupled_registers(draw):
+    """A register with a pointer M, a 1- or 2-subsystem target, maybe a bystander C.
+
+    Returns (composite, target labels, basis seed, pointer_dim, ready, pointers);
+    the declaration order is any permutation, so the target may come before
+    or after the pointer, or around it.
+    """
+    target = [("A", draw(st.integers(2, 3)))]
+    if draw(st.booleans()):
+        target.append(("B", draw(st.integers(2, 3))))
+    d = int(np.prod([dim for _, dim in target]))
+    pointer_dim = draw(st.integers(d, d + 2))
+    extra = [("C", 2)] if draw(st.booleans()) else []
+    order = draw(st.permutations(target + [("M", pointer_dim)] + extra))
+    ready = draw(st.integers(0, pointer_dim - 1))
+    pointers = draw(st.permutations(range(pointer_dim)))[:d]
+    labels = [label for label, _ in target]
+    seed = draw(st.integers(0, 2**32 - 1))
+    return CompositeSystem(order), labels, seed, pointer_dim, ready, pointers
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +103,9 @@ class TestMeasurementDevice:
             MeasurementDevice("M", [([1.0, 0.0], 1), ([0.0, 1.0], 1)])
 
     def test_pointer_too_small(self):
-        with pytest.raises(ValidationError, match="cannot resolve"):
-            z_device(pointer_dim=1)
+        for pointer_dim in (1, 0, -1):
+            with pytest.raises(ValidationError, match="cannot resolve"):
+                z_device(pointer_dim=pointer_dim)
 
     def test_parked_outcome_may_share_the_ready_position(self):
         dev = MeasurementDevice(
@@ -141,12 +185,32 @@ class TestCouplingUnitary:
         weights = np.abs(basis.conj().T @ state) ** 2
         assert_allclose(ens.eigenvalues, np.sort(np.append(weights, 0.0))[::-1], atol=1e-12)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(coupled_registers())
+    def test_matrix_and_apply_match_the_kron_sum(self, case):
+        comp, labels, seed, pointer_dim, ready, pointers = case
+        rng = np.random.default_rng(seed)
+        target = comp.subset(labels)
+        basis = random_unitary(rng, target.joint_dim)
+        dev = MeasurementDevice.from_basis("M", basis, pointer_dim, ready, pointers)
+        op = build_measurement_unitary(dev, target)
+        # the oracle acts on the target's labels in declared order, then the pointer
+        oracle = kron_embedded(
+            kron_sum(basis, pointers, ready, pointer_dim),
+            comp.dims,
+            list(target.axes) + [comp.axis("M")],
+        )
+        assert_allclose(kron_embedded(op.matrix, comp.dims, op.support.axes), oracle, atol=1e-13)
+        psi = PureState(comp, random_amplitudes(rng, comp.total_dim))
+        assert_allclose(apply(op, psi).amplitudes, oracle @ psi.amplitudes, atol=1e-13)
+
     @pytest.mark.parametrize(
         "target, pointer_dim", [((("Q", 3),), 4), ((("A", 2), ("B", 2)), 5)]
     )
     def test_matches_the_kron_sum_bit_for_bit(self, target, pointer_dim):
-        # a 3-outcome basis on a qutrit and a basis on a 4-dim target, each
-        # declared after the pointer and in reverse, so the build is permuted
+        # a basis on a qutrit and on a 4-dim target, each declared after the
+        # pointer and in reverse, so the step is permuted; the dense matrix is
+        # bit for bit what ``apply`` does to each basis state
         rng = np.random.default_rng(95)
         labels = [label for label, _ in target]
         d = int(np.prod([dim for _, dim in target]))
@@ -154,27 +218,75 @@ class TestCouplingUnitary:
         bases = np.stack([random_unitary(rng, d) for _ in range(3)])
         pointers = [int(p) for p in rng.permutation(pointer_dim)[:d]]
         ready = 1
-        built = [
-            build_measurement_unitary(
-                MeasurementDevice.from_basis("M", basis, pointer_dim, ready, pointers),
-                comp.subset(labels),
-            ).matrix
-            for basis in bases
-        ]
-        stacked = _coupling_matrix(bases, pointers, ready, pointer_dim)
-        # the oracle sums one kron term per outcome, in (target, pointer)
-        # order, and then moves the pointer factor to the front
+        # the oracle is in (target, pointer) order; move the pointer to the front
         dims = [comp.dim_of(label) for label in comp.labels[1:]] + [pointer_dim]
         n = len(dims)
         front = [n - 1] + list(range(n - 1))
-        for basis, matrix, coupling in zip(bases, built, stacked):
-            oracle = np.zeros((d * pointer_dim, d * pointer_dim), dtype=complex)
-            for k, pointer in enumerate(pointers):
-                shift = np.roll(np.eye(pointer_dim), (pointer - ready) % pointer_dim, axis=0)
-                oracle += np.kron(np.outer(basis[:, k], basis[:, k].conj()), shift)
-            assert coupling.tobytes() == oracle.tobytes()
+        for basis in bases:
+            op = build_measurement_unitary(
+                MeasurementDevice.from_basis("M", basis, pointer_dim, ready, pointers),
+                comp.subset(labels),
+            )
+            matrix = op.matrix
+            images = [apply(op, PureState(comp, e)).amplitudes for e in np.eye(comp.total_dim)]
+            assert matrix.tobytes() == np.stack(images, axis=1).tobytes()
+            oracle = kron_sum(basis, pointers, ready, pointer_dim)
             permuted = oracle.reshape(dims + dims).transpose(front + [n + a for a in front])
-            assert matrix.tobytes() == permuted.reshape(oracle.shape).tobytes()
+            assert_allclose(matrix, permuted.reshape(oracle.shape), atol=1e-13)
+
+    def test_the_bell_engine_couplings_match_the_kron_sum(self, monkeypatch):
+        # record what the engine builds for M1, M2 and M3 at seeded angles
+        built = []
+
+        def recording(*args):
+            built.append((args, _DeviceCoupling(*args)))
+            return built[-1][1]
+
+        monkeypatch.setattr(qrsim.bell, "_DeviceCoupling", recording)
+        rng = np.random.default_rng(97)
+        thetas1, thetas2 = rng.uniform(-7.0, 7.0, size=(2, 5))
+        qrsim.bell._run_batch(BellScenario(0.6, 0.8, 0.0, 0.0), thetas1, thetas2)
+        want_bases = {
+            "M1": [xi_columns(t) for t in thetas1],
+            "M2": [xi_columns(t) for t in thetas2],
+            "M3": [np.eye(2)] * 5,
+        }
+        assert sorted(pointer for (_, pointer, *_), _ in built) == ["M1", "M2", "M3"]
+        for (target, pointer, bases, pointers, ready), coupling in built:
+            comp = target.parent
+            bases = np.broadcast_to(bases, (5, 2, 2))
+            assert_allclose(bases, want_bases[pointer], atol=1e-15)
+            states = np.stack([random_amplitudes(rng, comp.total_dim) for _ in range(5)])
+            out = _evolve(states.reshape((5,) + comp.dims), [coupling._step(comp.labels)])
+            axes = list(target.axes) + [comp.axis(pointer)]
+            for basis, state, got in zip(bases, states, out):
+                oracle = kron_embedded(
+                    kron_sum(basis, pointers, ready, comp.dim_of(pointer)), comp.dims, axes
+                )
+                assert_allclose(got.reshape(-1), oracle @ state, atol=1e-13)
+
+    def test_a_large_device_stays_factored(self):
+        # a dense coupling on this 64 x 65 support would take 277 MB
+        rng = np.random.default_rng(98)
+        comp = CompositeSystem([("T", 64), ("M", 65)])
+        basis = random_unitary(rng, 64)
+        target_state = random_amplitudes(rng, 64)
+        psi = PureState(comp, np.kron(target_state, np.eye(65)[0]))
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            dev = MeasurementDevice.from_basis("M", basis, pointer_dim=65)
+            out = apply(build_measurement_unitary(dev, comp.subset(["T"])), psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, f"{elapsed:.2f} s"
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        # outcome k parks b_k <b_k|target> on pointer position k + 1
+        recorded = out.amplitudes.reshape(64, 65)
+        assert_allclose(recorded[:, 1:], basis * (basis.conj().T @ target_state), atol=1e-13)
+        assert_allclose(recorded[:, 0], 0.0, atol=1e-13)
 
     def test_target_and_pointer_wiring_validation(self):
         comp = pointer_composite()
